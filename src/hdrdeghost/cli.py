@@ -93,7 +93,8 @@ def cmd_train(args):
     try:
         train_loop(dataset, params, cfg, tcfg, out_dir, log_fn=log_fn)
     except KeyboardInterrupt:
-        print("interrupted; last checkpoint flushed", file=sys.stderr)
+        print("interrupted; parameters of the last completed step saved to "
+              f"{out_dir / 'checkpoint.hdck'}", file=sys.stderr)
         return EXIT_OK
     except TrainingError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -42,10 +42,9 @@ def check_function(build, arrays, h=FD_STEP):
             grad = np.zeros_like(arrays[i])
 
         def f(x, i=i):
-            t2 = tc.Tape()
-            ls = [t2.leaf(x if j == i else arrays[j])
-                  for j in range(len(arrays))]
-            return float(build(*ls).data)
+            # untaped: finite differences need values, not a graph
+            return float(build(*[x if j == i else arrays[j]
+                                 for j in range(len(arrays))]).data)
 
         numeric = tc.finite_difference_grad(f, arrays[i], h)
         worst = max(worst, rel_error(grad, numeric))
@@ -191,13 +190,10 @@ def check_full_model(seed=0, n_params=200, h=FD_STEP, size=16, cfg=None):
     gt = sample.ground_truth.pixels[None, ...]
 
     def loss_value(p):
-        tape = tc.Tape()
-        leaves = bind_params(p, tape)
-        out = forward_from_inputs(inputs, leaves, cfg)
-        return l1_tonemapped_loss(out, gt), leaves
+        return l1_tonemapped_loss(forward_from_inputs(inputs, p, cfg), gt)
 
-    loss, leaves = loss_value(params)
-    grads = tc.backward(loss)
+    leaves = bind_params(params, tc.Tape())
+    grads = tc.backward(loss_value(leaves))
     analytic = {k: grads.get(leaf, np.zeros_like(params[k]))
                 for k, leaf in leaves.items()}
 
@@ -213,9 +209,9 @@ def check_full_model(seed=0, n_params=200, h=FD_STEP, size=16, cfg=None):
         arr = params[name].reshape(-1)
         orig = arr[flat]
         arr[flat] = orig + h
-        fp = float(loss_value(params)[0].data)
+        fp = float(loss_value(params).data)
         arr[flat] = orig - h
-        fm = float(loss_value(params)[0].data)
+        fm = float(loss_value(params).data)
         arr[flat] = orig
         n_vec.append((fp - fm) / (2 * h))
         a_vec.append(analytic[name].reshape(-1)[flat])

@@ -99,12 +99,13 @@ def build_input(s: SampleTriplet, gamma: float = GAMMA_DEFAULT):
 def mu_law(x: np.ndarray, mu: float = MU_DEFAULT) -> np.ndarray:
     """Log range compression log(1 + mu*x) / log(1 + mu) on [0, 1] inputs.
 
-    Values above 1 are clamped before the mapping.
+    Values above 1 are clamped before the mapping. Float inputs keep their
+    dtype.
     """
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
     xc = np.clip(x, 0.0, 1.0)
-    return np.log1p(mu * xc) / np.log1p(mu)
+    return np.log1p(mu * xc) / float(np.log1p(mu))
 
 
 def mu_law_t(x: tc.Tensor, mu: float = MU_DEFAULT) -> tc.Tensor:

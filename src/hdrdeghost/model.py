@@ -282,20 +282,22 @@ def bind_params(params: dict, tape: tc.Tape) -> dict:
 
 
 def forward_from_inputs(inputs, leaves, cfg):
-    """Differentiable forward from three 1 x H x W x 6 input tensors."""
-    consts = [x if isinstance(x, tc.Tensor) else tc.constant(x) for x in inputs]
-    f_init = head_forward(consts, leaves, cfg)
-    return hdt_forward(f_init, leaves, cfg)
+    """Forward from three 1 x H x W x 6 inputs (arrays or tensors).
+
+    Differentiable when ``leaves`` are bound to a tape; given the raw
+    parameter arrays it builds no graph."""
+    return hdt_forward(head_forward(inputs, leaves, cfg), leaves, cfg)
 
 
 def model_forward(s: SampleTriplet, params: dict, cfg: ModelConfig,
                   gamma: float = 2.2) -> HdrImage:
-    """End-to-end fusion of a triplet into a linear HDR image in [0, 1]."""
-    tape = tc.Tape()
-    leaves = bind_params(params, tape)
+    """End-to-end fusion of a triplet into a linear HDR image in [0, 1].
+
+    Untaped: each intermediate is freed as soon as the next layer is done
+    with it."""
     dt = tc.DTYPES[cfg.dtype]
     inputs = [x.astype(dt) for x in build_input(s, gamma)]
-    out = forward_from_inputs(inputs, leaves, cfg)
+    out = forward_from_inputs(inputs, params, cfg)
     return HdrImage(pixels=np.asarray(out.data[0], dtype=np.float64))
 
 
@@ -356,10 +358,15 @@ def load_checkpoint(path):
                 shape).astype(dt)
         if f.read(1):
             raise CheckpointError("trailing bytes after declared payloads")
-    expected = set(init_params(cfg, seed=0))
-    if set(params) != expected:
-        missing = sorted(expected - set(params))
-        extra = sorted(set(params) - expected)
+    expected = {k: v.shape for k, v in init_params(cfg, seed=0).items()}
+    if set(params) != set(expected):
+        missing = sorted(set(expected) - set(params))
+        extra = sorted(set(params) - set(expected))
         raise CheckpointError(
             f"checkpoint/config mismatch: missing {missing}, unexpected {extra}")
+    for k, shape in sorted(expected.items()):
+        if params[k].shape != shape:
+            raise CheckpointError(
+                f"checkpoint/config mismatch: {k} has shape "
+                f"{params[k].shape}, config needs {shape}")
     return params, cfg

@@ -20,10 +20,12 @@ class ShapeError(ValueError):
 
 
 class Tape:
-    """Append-only record of a forward computation.
+    """Single-use record of a forward computation.
 
     Tensors created by kernels register themselves on the tape of their
-    inputs; ``backward`` replays the records in reverse order exactly once.
+    inputs; ``backward`` consumes the records in reverse order, freeing
+    each node's graph as it goes, and leaves the tape empty. Kernels whose
+    inputs are all untaped record nothing and keep no graph.
     """
 
     def __init__(self):
@@ -83,27 +85,40 @@ def _tape(*xs):
 
 def _make(data, parents, vjp):
     tape = _tape(*parents)
+    if tape is None:
+        return Tensor(data)
     # keep vjp outputs aligned with parents: wrap raw arrays as constants
     parents = tuple(p if isinstance(p, Tensor) else constant(p) for p in parents)
-    return Tensor(data, tape=tape, parents=parents, vjp=vjp if tape else None)
+    return Tensor(data, tape=tape, parents=parents, vjp=vjp)
 
 
 def backward(loss):
-    """Accumulate gradients of a scalar loss w.r.t. every taped tensor.
+    """Accumulate gradients of a scalar loss w.r.t. every taped leaf.
 
     Returns a dict keyed by Tensor identity; look up leaves to read their
-    gradients. Traverses the tape in reverse recording order exactly once.
+    gradients. Consumes the tape: nodes are popped in reverse recording
+    order, and each node's vjp, parents and gradient are dropped once its
+    vjp has run, so the graph is freed as backward proceeds. A second
+    call on the same tape raises ValueError.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
     if loss.tape is None:
         raise ValueError("loss is not recorded on a tape")
+    nodes = loss.tape.nodes
+    if not nodes:
+        raise ValueError("tape already consumed by an earlier backward")
     grads = {loss: np.ones_like(loss.data)}
-    for t in reversed(loss.tape.nodes):
-        g = grads.get(t)
-        if g is None or t.vjp is None:
+    while nodes:
+        t = nodes.pop()
+        vjp, parents = t.vjp, t.parents
+        if vjp is None:
             continue
-        for p, pg in zip(t.parents, t.vjp(g)):
+        t.vjp, t.parents = None, ()
+        g = grads.pop(t, None)
+        if g is None:
+            continue
+        for p, pg in zip(parents, vjp(g)):
             if pg is None or p.tape is None:
                 continue
             if pg.shape != p.data.shape:
@@ -164,10 +179,6 @@ def sub(a, b):
         return _unbroadcast(g, ad.shape), _unbroadcast(-g, bd.shape)
 
     return _make(ad - bd, (a, b), vjp)
-
-
-def neg(x):
-    return _make(-_data(x), (x,), lambda g: (-g,))
 
 
 def mul_scalar(x, c):
@@ -523,8 +534,9 @@ def deformable_conv2d(x, w, b, offsets, dilation=1):
 
     y0 = np.clip(np.floor(py).astype(np.int64), 0, hp - 2)
     x0 = np.clip(np.floor(px).astype(np.int64), 0, wp - 2)
-    wy = py - y0
-    wx = px - x0
+    # int64 corners would promote the weights (and all that follows) to f64
+    wy = (py - y0).astype(xd.dtype, copy=False)
+    wx = (px - x0).astype(xd.dtype, copy=False)
     bi = np.arange(bsz)[:, None, None, None, None]
 
     c00 = xp[bi, y0, x0]

@@ -230,7 +230,10 @@ def _eval_psnr_mu(samples, params, cfg, mu):
 def train_loop(dataset, params, cfg: ModelConfig, tcfg: TrainConfig,
                out_dir, log_fn=None):
     """Seeded mini-batch training; logs line-delimited JSON records and
-    writes checkpoints under out_dir. Returns the final parameters."""
+    writes checkpoints under out_dir. Returns the final parameters.
+
+    On KeyboardInterrupt the parameters after the last completed step are
+    written to out_dir/checkpoint.hdck before the interrupt propagates."""
     dataset = [s for s in dataset if s.ground_truth is not None]
     if not dataset:
         raise TrainingError("training requires samples with ground truth")
@@ -249,35 +252,41 @@ def train_loop(dataset, params, cfg: ModelConfig, tcfg: TrainConfig,
     state = AdamState(params, tcfg.lr, tcfg.beta1, tcfg.beta2, tcfg.eps)
     step = 0
     last_good = dict(params)
-    with open(log_path, "w") as log:
-        for epoch in range(tcfg.epochs):
-            order = rng.permutation(len(patches))
-            for lo in range(0, len(order), tcfg.batch_size):
-                idx = order[lo:lo + tcfg.batch_size]
-                batch = [augment(patches[i], int(rng.integers(0, 8)))
-                         for i in idx]
-                loss, grads = training_step(batch, params, cfg, tcfg)
-                if not np.isfinite(loss):
-                    save_checkpoint(ckpt_path, last_good, cfg)
-                    raise TrainingError(
-                        f"non-finite loss at step {step}; last good "
-                        f"checkpoint kept at {ckpt_path}")
-                params = adam_step(params, grads, state)
-                last_good = params
-                step += 1
+    try:
+        with open(log_path, "w") as log:
+            for epoch in range(tcfg.epochs):
+                order = rng.permutation(len(patches))
+                for lo in range(0, len(order), tcfg.batch_size):
+                    idx = order[lo:lo + tcfg.batch_size]
+                    batch = [augment(patches[i], int(rng.integers(0, 8)))
+                             for i in idx]
+                    loss, grads = training_step(batch, params, cfg, tcfg)
+                    if not np.isfinite(loss):
+                        save_checkpoint(ckpt_path, last_good, cfg)
+                        raise TrainingError(
+                            f"non-finite loss at step {step}; last good "
+                            f"checkpoint kept at {ckpt_path}")
+                    params = adam_step(params, grads, state)
+                    last_good = params
+                    step += 1
+                    if tcfg.max_steps and step >= tcfg.max_steps:
+                        break
+                psnr_mu = _eval_psnr_mu(val, params, cfg, tcfg.mu)
+                rec = {"epoch": epoch, "step": step, "loss": loss,
+                       "psnr_mu": psnr_mu}
+                log.write(json.dumps(rec) + "\n")
+                log.flush()
+                if log_fn:
+                    log_fn(rec)
+                if (tcfg.checkpoint_every
+                        and (epoch + 1) % tcfg.checkpoint_every == 0):
+                    save_checkpoint(out_dir / f"checkpoint_ep{epoch:04d}.hdck",
+                                    params, cfg)
                 if tcfg.max_steps and step >= tcfg.max_steps:
                     break
-            psnr_mu = _eval_psnr_mu(val, params, cfg, tcfg.mu)
-            rec = {"epoch": epoch, "step": step, "loss": loss,
-                   "psnr_mu": psnr_mu}
-            log.write(json.dumps(rec) + "\n")
-            log.flush()
-            if log_fn:
-                log_fn(rec)
-            if tcfg.checkpoint_every and (epoch + 1) % tcfg.checkpoint_every == 0:
-                save_checkpoint(out_dir / f"checkpoint_ep{epoch:04d}.hdck",
-                                params, cfg)
-            if tcfg.max_steps and step >= tcfg.max_steps:
-                break
+    except KeyboardInterrupt:
+        # keep the last completed step: its parameters are whole
+        save_checkpoint(ckpt_path, last_good, cfg)
+        raise
     save_checkpoint(ckpt_path, params, cfg)
     return params

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -85,3 +88,37 @@ def test_dt_block_gradient():
 
 def test_head_gradient():
     assert gradcheck.check_head() <= gradcheck.OP_TOLERANCE
+
+
+def test_backward_consumes_the_tape():
+    tape = tc.Tape()
+    x = tape.leaf(np.arange(4.0))
+    loss = tc.sum_(tc.sigmoid(tc.mul(x, x)))
+    tc.backward(loss)
+    assert tape.nodes == []
+    assert loss.vjp is None and loss.parents == ()
+
+
+def test_second_backward_on_a_consumed_tape_raises():
+    tape = tc.Tape()
+    x = tape.leaf(np.arange(4.0))
+    loss = tc.sum_(tc.mul(x, x))
+    tc.backward(loss)
+    with pytest.raises(ValueError, match="consumed"):
+        tc.backward(loss)
+
+
+def test_graph_is_freed_without_the_cycle_collector():
+    gc.disable()
+    try:
+        tape = tc.Tape()
+        x = tape.leaf(np.arange(4.0))
+        mid = tc.sigmoid(tc.mul(x, x))
+        loss = tc.sum_(mid)
+        grads = tc.backward(loss)
+        ref = weakref.ref(mid)
+        del mid, loss
+        assert ref() is None
+        assert set(grads) == {x}
+    finally:
+        gc.enable()

@@ -83,6 +83,19 @@ class TestFuse:
         assert rc == EXIT_CONFIG
         assert not out.exists()
 
+    def test_wrong_shape_checkpoint_exits_2(self, tmp_path, capsys):
+        cfg = tiny_preset()
+        params = dict(init_params(cfg, seed=1), **{"embed.b": np.zeros(7)})
+        bad = tmp_path / "bad.hdck"
+        save_checkpoint(bad, params, cfg)
+        sample = write_sample(tmp_path / "data", "s0", h=16, w=16)
+        out = tmp_path / "out.pfm"
+        assert main(["fuse", "--input", str(sample), "--checkpoint", str(bad),
+                     "--output", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        assert main(["inspect", "--checkpoint", str(bad)]) == EXIT_CONFIG
+        assert "embed.b" in capsys.readouterr().err
+
     def test_config_mismatch_exits_2(self, tmp_path, checkpoint):
         conf = tmp_path / "conf.txt"
         conf.write_text("preset = tiny\nwindow = 8\n")

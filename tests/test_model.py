@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from hdrdeghost import tensor as tc
-from hdrdeghost.hdrmath import LdrImage, SampleTriplet
+from hdrdeghost.hdrmath import LdrImage, SampleTriplet, build_input
 from hdrdeghost.model import (CheckpointError, ConfigError, ModelConfig,
-                              bind_params, dt_forward, global_branch,
-                              hdt_forward, init_params, load_checkpoint,
-                              local_branch, model_forward, msa, full_preset,
-                              param_manifest, save_checkpoint, tiny_preset,
-                              window_partition, window_reverse)
+                              bind_params, dt_forward, forward_from_inputs,
+                              global_branch, hdt_forward, init_params,
+                              load_checkpoint, local_branch, model_forward,
+                              msa, full_preset, param_manifest,
+                              save_checkpoint, tiny_preset, window_partition,
+                              window_reverse)
 
 
 def make_triplet(h=16, w=16, seed=0):
@@ -169,6 +170,23 @@ class TestBody:
         b = model_forward(s, params, cfg).pixels
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_untaped_forward_matches_taped_bit_for_bit(self, dtype):
+        cfg = tiny_preset(dtype=dtype)
+        rng = np.random.default_rng(24)
+        params = init_params(cfg, seed=6)
+        for k, v in params.items():
+            if ".off." in k:  # sample between pixels, not on the grid
+                params[k] = (v + rng.normal(0, 0.05, size=v.shape)).astype(v.dtype)
+        s = make_triplet(12, 12, seed=25)
+        untaped = model_forward(s, params, cfg).pixels
+        tape = tc.Tape()
+        ins = [x.astype(tc.DTYPES[dtype]) for x in build_input(s)]
+        taped = forward_from_inputs(ins, bind_params(params, tape), cfg)
+        assert len(tape.nodes) > len(params)
+        assert taped.data.dtype == tc.DTYPES[dtype]
+        np.testing.assert_array_equal(untaped, taped.data[0])
+
     def test_ablation_variants_distinct(self):
         s = make_triplet(8, 8, seed=22)
         rng = np.random.default_rng(23)
@@ -251,4 +269,12 @@ class TestCheckpoint:
         save_checkpoint(path, params, cfg)
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(CheckpointError, match="trailing"):
+            load_checkpoint(path)
+
+    def test_wrong_shape_rejected(self, tiny64, tmp_path):
+        cfg, params = tiny64
+        bad = dict(params, **{"embed.b": np.zeros(7)})
+        path = tmp_path / "m.hdck"
+        save_checkpoint(path, bad, cfg)
+        with pytest.raises(CheckpointError, match=r"embed\.b has shape \(7,\)"):
             load_checkpoint(path)

@@ -230,3 +230,76 @@ def test_kernels_are_pure():
     np.testing.assert_array_equal(a, b)
     s = tc.sigmoid(c(x)).data
     np.testing.assert_array_equal(s, tc.sigmoid(c(x)).data)
+
+
+# every kernel once: name -> (build from input tensors, input shapes); inputs
+# are drawn from [0.5, 1.5], inside every kernel's domain (log, clip)
+KERNEL_CASES = {
+    "add": (tc.add, [(2, 3), (3,)]),
+    "sub": (tc.sub, [(2, 3), (2, 1)]),
+    "mul": (tc.mul, [(2, 3), (2, 3)]),
+    "mul_scalar": (lambda x: tc.mul_scalar(x, 0.3), [(2, 3)]),
+    "add_scalar": (lambda x: tc.add_scalar(x, 0.3), [(2, 3)]),
+    "log": (tc.log, [(2, 3)]),
+    "abs_": (tc.abs_, [(2, 3)]),
+    "clip": (lambda x: tc.clip(x, 0.0, 1.0), [(2, 3)]),
+    "sigmoid": (tc.sigmoid, [(2, 3)]),
+    "leaky_relu": (tc.leaky_relu, [(2, 3)]),
+    "sum_": (lambda x: tc.sum_(x, axis=1), [(2, 3)]),
+    "mean": (lambda x: tc.mean(x, axis=(0, 1)), [(2, 3, 4)]),
+    "global_avg_pool": (tc.global_avg_pool, [(1, 3, 4, 2)]),
+    "reshape": (lambda x: tc.reshape(x, (3, 2)), [(2, 3)]),
+    "transpose": (lambda x: tc.transpose(x, (1, 0)), [(2, 3)]),
+    "roll2d": (lambda x: tc.roll2d(x, 1, -1), [(1, 3, 4, 2)]),
+    "concat": (lambda a, b: tc.concat([a, b], axis=1), [(2, 3), (2, 1)]),
+    "narrow": (lambda x: tc.narrow(x, 1, 1, 2), [(2, 3)]),
+    "pad2d/zero": (lambda x: tc.pad2d(x, (1, 0, 2, 1)), [(1, 3, 4, 2)]),
+    "pad2d/reflect": (lambda x: tc.pad2d(x, (1, 2, 2, 1), mode="reflect"),
+                      [(1, 3, 4, 2)]),
+    "matmul": (tc.matmul, [(2, 3, 4), (2, 4, 5)]),
+    "linear": (tc.linear, [(2, 3, 4), (4, 5), (5,)]),
+    "linear/no_bias": (tc.linear, [(2, 4), (4, 5)]),
+    "layer_norm": (tc.layer_norm, [(2, 4), (4,), (4,)]),
+    "softmax": (tc.softmax, [(2, 3)]),
+    "conv2d": (lambda x, w, b: tc.conv2d(x, w, b, dilation=2),
+               [(1, 5, 5, 2), (3, 3, 2, 3), (3,)]),
+    "deformable_conv2d": (tc.deformable_conv2d,
+                          [(1, 5, 5, 2), (3, 3, 2, 3), (3,), (1, 5, 5, 18)]),
+}
+NOT_KERNELS = {"backward", "constant", "finite_difference_grad"}
+
+
+def _case_inputs(name, dtype):
+    rng = np.random.default_rng(0)
+    return [rng.uniform(0.5, 1.5, size=s).astype(dtype)
+            for s in KERNEL_CASES[name][1]]
+
+
+def test_kernel_cases_cover_every_kernel():
+    public = {n for n, f in vars(tc).items() if callable(f)
+              and getattr(f, "__module__", None) == tc.__name__
+              and not n.startswith("_") and not isinstance(f, type)}
+    assert {k.split("/")[0] for k in KERNEL_CASES} == public - NOT_KERNELS
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_kernel_keeps_dtype_forward_and_backward(name, dtype):
+    tape = tc.Tape()
+    leaves = [tape.leaf(a) for a in _case_inputs(name, dtype)]
+    out = KERNEL_CASES[name][0](*leaves)
+    assert out.data.dtype == dtype
+    grads = tc.backward(tc.sum_(out))
+    for leaf in leaves:
+        assert grads[leaf].dtype == dtype
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_untaped_kernel_keeps_no_graph(name):
+    ins = _case_inputs(name, np.float64)
+    # tensors and raw arrays alike: neither is taped
+    for args in ([tc.constant(a) for a in ins], ins):
+        out = KERNEL_CASES[name][0](*args)
+        assert out.tape is None
+        assert out.parents == ()
+        assert out.vjp is None

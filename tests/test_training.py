@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -208,6 +209,20 @@ class TestTrainingStep:
         for k in params:
             assert grads[k].shape == params[k].shape
 
+    def test_f32_step_runs_in_f32(self):
+        cfg = tiny_preset()
+        rng = np.random.default_rng(26)
+        params = init_params(cfg, seed=13)
+        for k, v in params.items():
+            if ".off." in k:  # sample between pixels, not on the grid
+                params[k] = (v + rng.normal(0, 0.05, size=v.shape)).astype(v.dtype)
+        batch = synth_dataset(2, seed=14, size=8)
+        tcfg = TrainConfig(batch_size=2, patch=8, stride=8)
+        _, grads = training_step(batch, params, cfg, tcfg)
+        assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
+        new = adam_step(params, grads, AdamState(params))
+        assert {v.dtype for v in new.values()} == {np.dtype(np.float32)}
+
     def test_deterministic(self):
         cfg = tiny_preset(dtype="f64")
         params = init_params(cfg, seed=15)
@@ -245,6 +260,26 @@ class TestTrainLoop:
         b, _ = self.run(tmp_path / "runC", dtype="f64")
         for k in a:
             np.testing.assert_array_equal(a[k], b[k])
+
+    def test_interrupt_saves_last_completed_step(self, tmp_path):
+        # one epoch of max_steps=4 with batch 2 over 3 patches: 2 steps
+        cfg = tiny_preset()
+        data = synth_dataset(3, seed=17, size=16)
+        tcfg = TrainConfig(batch_size=2, epochs=2, patch=16, stride=16,
+                           seed=17, max_steps=4)
+
+        def interrupt(rec):
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            train_loop(data, init_params(cfg, seed=18), cfg, tcfg,
+                       tmp_path / "cut", log_fn=interrupt)
+        done = train_loop(data, init_params(cfg, seed=18), cfg,
+                          replace(tcfg, epochs=1), tmp_path / "whole")
+        back, _ = load_checkpoint(tmp_path / "cut" / "checkpoint.hdck")
+        for k in done:
+            assert done[k].dtype == np.float32
+            np.testing.assert_array_equal(back[k], done[k])
 
     def test_requires_ground_truth(self, tmp_path):
         cfg = tiny_preset()
