@@ -1,7 +1,13 @@
 """Command-line entry point: fuse, train, eval, gradcheck, inspect.
 
-Exit codes: 0 success, 1 I/O or data error, 2 config/checkpoint mismatch,
-3 numerical failure.
+Exit codes: 0 success (also a Ctrl-C'd ``train``); 1 I/O or data error
+(``OSError``, and ``ValueError`` such as ``CodecError``, ``DatasetError`` or
+``ShapeError``); 2 config/checkpoint mismatch (``ConfigError``,
+``CheckpointError``); 3 numerical failure (``TrainingError``,
+``FloatingPointError``, a failed gradcheck). The commands raise; ``main``
+alone maps an error to its code through ``EXIT_CODES`` and prints
+``error: <message>`` with no traceback. Any other exception is a bug and
+keeps its traceback.
 """
 from __future__ import annotations
 
@@ -10,20 +16,26 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import codecs, gradcheck, metrics
-from .codecs import CodecError, DatasetError
+from .codecs import DatasetError
 from .config import parse_config
 from .hdrmath import mu_law
 from .model import (CheckpointError, ConfigError, init_params, load_checkpoint,
-                    model_forward, param_manifest, save_checkpoint)
-from .training import TrainingError, TrainConfig, synth_dataset, train_loop
+                    model_forward, param_manifest)
+from .training import TrainingError, synth_dataset, train_loop
 
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+
+# error kind -> exit code, most specific first: ConfigError, CheckpointError
+# and the codec, dataset and shape errors are all ValueErrors
+EXIT_CODES = (
+    ((ConfigError, CheckpointError), EXIT_CONFIG),
+    ((TrainingError, FloatingPointError), EXIT_NUMERIC),
+    ((OSError, ValueError), EXIT_IO),
+)
 
 
 def _config_diff(a, b):
@@ -33,56 +45,35 @@ def _config_diff(a, b):
 
 
 def cmd_fuse(args):
-    try:
-        params, cfg = load_checkpoint(args.checkpoint)
-    except (OSError, CheckpointError, ConfigError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG if isinstance(e, (CheckpointError, ConfigError)) else EXIT_IO
+    params, cfg = load_checkpoint(args.checkpoint)
     mu = 5000.0
     if args.config:
-        try:
-            file_cfg, tcfg = parse_config(args.config)
-        except (OSError, ConfigError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_CONFIG if isinstance(e, ConfigError) else EXIT_IO
+        file_cfg, tcfg = parse_config(args.config)
         mu = tcfg.mu
         diff = _config_diff(cfg, file_cfg)
         if diff:
-            print("error: checkpoint/config mismatch:\n  "
-                  + "\n  ".join(diff), file=sys.stderr)
-            return EXIT_CONFIG
-    try:
-        sample = codecs._load_sample(Path(args.input))
-        out = model_forward(sample, params, cfg)
-        codecs.write_pfm(args.output, out.pixels)
-        if args.tonemapped:
-            codecs.write_ppm(args.tonemapped, mu_law(out.pixels, mu))
-    except (OSError, DatasetError, CodecError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+            raise ConfigError("checkpoint/config mismatch:\n  "
+                              + "\n  ".join(diff))
+    sample = codecs._load_sample(Path(args.input))
+    out = model_forward(sample, params, cfg)
+    codecs.write_pfm(args.output, out.pixels)
+    if args.tonemapped:
+        codecs.write_ppm(args.tonemapped, mu_law(out.pixels, mu))
     return EXIT_OK
 
 
 def cmd_train(args):
-    try:
-        cfg, tcfg = parse_config(args.config)
-    except (OSError, ConfigError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG if isinstance(e, ConfigError) else EXIT_IO
+    cfg, tcfg = parse_config(args.config)
     if args.ablate:
         flags = {"sar": {"sar": False},
                  "dt": {"deformable": False},
                  "both": {"sar": False, "deformable": False}}[args.ablate]
         cfg = replace(cfg, **flags)
-    try:
-        if args.synthetic:
-            dataset = synth_dataset(args.synthetic, seed=tcfg.seed,
-                                    size=tcfg.patch, gamma=tcfg.gamma)
-        else:
-            dataset = codecs.load_dataset(args.data)
-    except (DatasetError, CodecError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+    if args.synthetic:
+        dataset = synth_dataset(args.synthetic, seed=tcfg.seed,
+                                size=tcfg.patch, gamma=tcfg.gamma)
+    else:
+        dataset = codecs.load_dataset(args.data)
     params = init_params(cfg, seed=tcfg.seed)
     out_dir = Path(args.out)
 
@@ -95,27 +86,14 @@ def cmd_train(args):
     except KeyboardInterrupt:
         print("interrupted; parameters of the last completed step saved to "
               f"{out_dir / 'checkpoint.hdck'}", file=sys.stderr)
-        return EXIT_OK
-    except TrainingError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
     return EXIT_OK
 
 
 def cmd_eval(args):
-    try:
-        params, cfg = load_checkpoint(args.checkpoint)
-    except (OSError, CheckpointError, ConfigError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG if isinstance(e, (CheckpointError, ConfigError)) else EXIT_IO
-    try:
-        dataset = codecs.load_dataset(args.data)
-    except (DatasetError, CodecError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+    params, cfg = load_checkpoint(args.checkpoint)
+    dataset = codecs.load_dataset(args.data)
     if not any(s.ground_truth is not None for s in dataset):
-        print("error: no sample in the dataset has ground truth", file=sys.stderr)
-        return EXIT_IO
+        raise DatasetError("no sample in the dataset has ground truth")
     rows = metrics.eval_report(
         lambda s: model_forward(s, params, cfg).pixels, dataset)
     print(metrics.format_report(rows, as_json=args.json))
@@ -124,13 +102,10 @@ def cmd_eval(args):
 
 def cmd_gradcheck(args):
     if args.scale != "tiny":
-        print(f"error: unsupported scale {args.scale!r} (only 'tiny')",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"unsupported scale {args.scale!r} (only 'tiny')")
     if args.ops != "all" and args.ops not in gradcheck.op_names():
-        print(f"error: unknown op {args.ops!r}; choices: all, "
-              + ", ".join(gradcheck.op_names()), file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"unknown op {args.ops!r}; choices: all, "
+                          + ", ".join(gradcheck.op_names()))
     results = gradcheck.run_suite(args.ops, seed=args.seed)
     failed = False
     for name, (err, tol) in results.items():
@@ -142,15 +117,11 @@ def cmd_gradcheck(args):
 
 
 def cmd_inspect(args):
-    try:
-        if args.checkpoint:
-            params, cfg = load_checkpoint(args.checkpoint)
-        else:
-            cfg, _ = parse_config(args.config) if args.config else parse_config(text="")
-            params = init_params(cfg, seed=0)
-    except (OSError, CheckpointError, ConfigError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG if isinstance(e, (CheckpointError, ConfigError)) else EXIT_IO
+    if args.checkpoint:
+        params, cfg = load_checkpoint(args.checkpoint)
+    else:
+        cfg, _ = parse_config(args.config) if args.config else parse_config(text="")
+        params = init_params(cfg, seed=0)
     print("config:")
     for k, v in asdict(cfg).items():
         print(f"  {k} = {v}")
@@ -207,7 +178,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except tuple(kind for kinds, _ in EXIT_CODES for kind in kinds) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return next(code for kinds, code in EXIT_CODES if isinstance(e, kinds))
 
 
 if __name__ == "__main__":

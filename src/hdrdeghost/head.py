@@ -45,11 +45,6 @@ def sar(f_ref, m_short, m_long, enabled=True):
         tc.add(tc.mul(f_ref, m_short), tc.mul(f_ref, m_long)), 0.5)
 
 
-def concat_head(fm_short, fm_ref, fm_long, f_ref):
-    """Channel concat [fm_1, fm_2, fm_3, f_2] -> B x H x W x 4C."""
-    return tc.concat([fm_short, fm_ref, fm_long, f_ref], axis=3)
-
-
 def head_forward(inputs, p, cfg):
     """Full head: three 6-channel streams -> B x H x W x 4C initial feature."""
     slope = cfg.leaky_slope
@@ -61,4 +56,4 @@ def head_forward(inputs, p, cfg):
     fm1 = apply_attention(f1, m1)
     fm3 = apply_attention(f3, m3)
     fm2 = sar(f2, m1, m3, enabled=cfg.sar)
-    return concat_head(fm1, fm2, fm3, f2)
+    return tc.concat([fm1, fm2, fm3, f2], axis=3)

@@ -169,7 +169,7 @@ def window_partition(x, window, shift=0):
     ph = (-h) % window
     pw = (-w) % window
     if ph or pw:
-        x = tc.pad2d(x, (0, ph, 0, pw), mode="reflect")
+        x = tc.pad2d(x, (0, ph, 0, pw))
     hp, wp = h + ph, w + pw
     if shift:
         x = tc.roll2d(x, -shift, -shift)
@@ -328,36 +328,33 @@ def save_checkpoint(path, params: dict, cfg: ModelConfig):
             f.write(np.ascontiguousarray(params[k], dtype=wire).tobytes())
 
 
-def load_checkpoint(path):
-    """Returns (params, ModelConfig); params use the config dtype."""
-    with open(path, "rb") as f:
-        magic = f.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"bad checkpoint magic {magic!r}")
-        (mlen,) = struct.unpack("<I", f.read(4))
-        try:
-            manifest = json.loads(f.read(mlen).decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise CheckpointError(f"corrupt checkpoint manifest: {e}") from None
-        cfg = ModelConfig(**manifest["config"])
-        dt = tc.DTYPES[cfg.dtype]
-        params = {}
-        for entry in manifest["tensors"]:
-            shape = tuple(entry["shape"])
-            if entry.get("dtype", "f32") not in tc.DTYPES:
-                raise CheckpointError(
-                    f"unknown payload dtype {entry.get('dtype')!r}")
-            wire = "<f8" if entry.get("dtype", "f32") == "f64" else "<f4"
-            itemsize = 8 if wire == "<f8" else 4
-            n = int(np.prod(shape)) if shape else 1
-            raw = f.read(itemsize * n)
-            if len(raw) != itemsize * n:
-                raise CheckpointError(
-                    f"truncated payload for tensor {entry['name']}")
-            params[entry["name"]] = np.frombuffer(raw, dtype=wire).reshape(
-                shape).astype(dt)
-        if f.read(1):
-            raise CheckpointError("trailing bytes after declared payloads")
+def _parse_checkpoint(blob):
+    magic = blob[:len(CHECKPOINT_MAGIC)]
+    if magic != CHECKPOINT_MAGIC:
+        raise CheckpointError(f"bad checkpoint magic {magic!r}")
+    if len(blob) < len(magic) + 4:
+        raise CheckpointError("truncated checkpoint header")
+    (mlen,) = struct.unpack_from("<I", blob, len(magic))
+    pos = len(magic) + 4 + mlen
+    manifest = json.loads(blob[pos - mlen:pos].decode())
+    cfg = ModelConfig(**manifest["config"])
+    dt = tc.DTYPES[cfg.dtype]
+    params = {}
+    for entry in manifest["tensors"]:
+        shape = tuple(entry["shape"])
+        if entry.get("dtype", "f32") not in tc.DTYPES:
+            raise CheckpointError(
+                f"unknown payload dtype {entry.get('dtype')!r}")
+        wire = np.dtype("<f8" if entry.get("dtype", "f32") == "f64" else "<f4")
+        n = int(np.prod(shape)) if shape else 1
+        if pos + wire.itemsize * n > len(blob):
+            raise CheckpointError(
+                f"truncated payload for tensor {entry['name']}")
+        params[entry["name"]] = np.frombuffer(
+            blob, wire, n, pos).reshape(shape).astype(dt)
+        pos += wire.itemsize * n
+    if pos != len(blob):
+        raise CheckpointError("trailing bytes after declared payloads")
     expected = {k: v.shape for k, v in init_params(cfg, seed=0).items()}
     if set(params) != set(expected):
         missing = sorted(set(expected) - set(params))
@@ -370,3 +367,19 @@ def load_checkpoint(path):
                 f"checkpoint/config mismatch: {k} has shape "
                 f"{params[k].shape}, config needs {shape}")
     return params, cfg
+
+
+def load_checkpoint(path):
+    """Returns (params, ModelConfig); params use the config dtype.
+
+    A malformed file raises CheckpointError; a manifest config that fails
+    ModelConfig's validation raises ConfigError."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    try:
+        return _parse_checkpoint(blob)
+    except (CheckpointError, ConfigError):
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise CheckpointError(
+            f"malformed checkpoint: {type(e).__name__}: {e}") from None

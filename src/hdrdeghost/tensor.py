@@ -318,32 +318,25 @@ def narrow(x, axis, start, length):
     return _make(xd[idx].copy(), (x,), vjp)
 
 
-def pad2d(x, pads, mode="zero"):
-    """Pad the spatial axes of a BHWC tensor. pads = (top, bottom, left, right)."""
+def pad2d(x, pads):
+    """Reflect-pad the spatial axes of a BHWC tensor.
+
+    pads = (top, bottom, left, right)."""
     pt, pb, pl, pr = pads
     xd = _data(x)
     _, h, w, _ = xd.shape
-    if mode == "zero":
-        out = np.pad(xd, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+    idx_h = np.pad(np.arange(h), (pt, pb), mode="reflect")
+    idx_w = np.pad(np.arange(w), (pl, pr), mode="reflect")
+    out = xd[:, idx_h][:, :, idx_w]
 
-        def vjp(g):
-            return (g[:, pt:pt + h, pl:pl + w, :],)
+    def vjp(g):
+        tmp = np.zeros((xd.shape[0], h, g.shape[2], xd.shape[3]), dtype=g.dtype)
+        np.add.at(tmp, (slice(None), idx_h), g)
+        gx = np.zeros_like(xd)
+        np.add.at(gx, (slice(None), slice(None), idx_w), tmp)
+        return (gx,)
 
-        return _make(out, (x,), vjp)
-    if mode == "reflect":
-        idx_h = np.pad(np.arange(h), (pt, pb), mode="reflect")
-        idx_w = np.pad(np.arange(w), (pl, pr), mode="reflect")
-        out = xd[:, idx_h][:, :, idx_w]
-
-        def vjp(g):
-            tmp = np.zeros((xd.shape[0], h, g.shape[2], xd.shape[3]), dtype=g.dtype)
-            np.add.at(tmp, (slice(None), idx_h), g)
-            gx = np.zeros_like(xd)
-            np.add.at(gx, (slice(None), slice(None), idx_w), tmp)
-            return (gx,)
-
-        return _make(out, (x,), vjp)
-    raise ValueError(f"unknown pad mode {mode!r}")
+    return _make(out, (x,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -364,26 +357,19 @@ def matmul(a, b):
     return _make(ad @ bd, (a, b), vjp)
 
 
-def linear(x, w, b=None):
+def linear(x, w, b):
     """Affine map on the last axis: x @ w + b."""
     xd, wd = _data(x), _data(w)
     if xd.shape[-1] != wd.shape[0]:
         raise ShapeError(
             f"linear input dim {xd.shape[-1]} != weight rows {wd.shape[0]}")
-    out = xd @ wd
-    if b is not None:
-        out = out + _data(b)
 
     def vjp(g):
         gx = g @ wd.T
         gw = xd.reshape(-1, wd.shape[0]).T @ g.reshape(-1, wd.shape[1])
-        gb = g.reshape(-1, wd.shape[1]).sum(axis=0) if b is not None else None
-        return (gx, gw, gb)
+        return (gx, gw, g.reshape(-1, wd.shape[1]).sum(axis=0))
 
-    parents = (x, w, b) if b is not None else (x, w)
-    if b is None:
-        return _make(out, parents, lambda g: vjp(g)[:2])
-    return _make(out, parents, vjp)
+    return _make(xd @ wd + _data(b), (x, w, b), vjp)
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):
@@ -428,24 +414,9 @@ def softmax(x, axis=-1):
 # ---------------------------------------------------------------------------
 # convolutions
 
-def _conv_geometry(h, w, k, stride, dilation, padding):
-    span = dilation * (k - 1)
-    if padding == "same":
-        p = span // 2
-        pads = (p, p, p, p)
-    elif padding == "valid":
-        pads = (0, 0, 0, 0)
-    else:
-        raise ValueError(f"unknown padding {padding!r}")
-    hp = h + pads[0] + pads[1]
-    wp = w + pads[2] + pads[3]
-    ho = (hp - span - 1) // stride + 1
-    wo = (wp - span - 1) // stride + 1
-    return pads, ho, wo
-
-
-def conv2d(x, w, b=None, stride=1, dilation=1, padding="same"):
-    """2-D cross-correlation on BHWC input with a k x k x Cin x Cout kernel."""
+def conv2d(x, w, b=None, dilation=1):
+    """Same-size, stride-1 2-D cross-correlation on BHWC input with a
+    k x k x Cin x Cout kernel, zero-padded by dilation * (k - 1) / 2."""
     xd, wd = _data(x), _data(w)
     if xd.ndim != 4:
         raise ShapeError(f"conv2d input must be BHWC, got ndim {xd.ndim}")
@@ -462,31 +433,28 @@ def conv2d(x, w, b=None, stride=1, dilation=1, padding="same"):
     if b is not None and _data(b).shape != (cout,):
         raise ShapeError(f"bias must have shape ({cout},)")
 
-    pads, ho, wo = _conv_geometry(h, wdt, k, stride, dilation, padding)
-    xp = np.pad(xd, ((0, 0), (pads[0], pads[1]), (pads[2], pads[3]), (0, 0)))
+    p = dilation * (k - 1) // 2
+    xp = np.pad(xd, ((0, 0), (p, p), (p, p), (0, 0)))
 
-    patches = np.empty((bsz, ho, wo, k, k, cin), dtype=xd.dtype)
+    patches = np.empty((bsz, h, wdt, k, k, cin), dtype=xd.dtype)
     for ki in range(k):
         for kj in range(k):
             y0, x0 = ki * dilation, kj * dilation
-            patches[:, :, :, ki, kj, :] = \
-                xp[:, y0:y0 + (ho - 1) * stride + 1:stride,
-                   x0:x0 + (wo - 1) * stride + 1:stride, :]
-    p2 = patches.reshape(bsz, ho, wo, k * k * cin)
+            patches[:, :, :, ki, kj, :] = xp[:, y0:y0 + h, x0:x0 + wdt, :]
+    p2 = patches.reshape(bsz, h, wdt, k * k * cin)
     out = p2 @ wd.reshape(k * k * cin, cout)
     if b is not None:
         out = out + _data(b)
 
     def vjp(g):
         gw = np.einsum("bhwp,bhwo->po", p2, g).reshape(wd.shape)
-        gp = (g @ wd.reshape(-1, cout).T).reshape(bsz, ho, wo, k, k, cin)
+        gp = (g @ wd.reshape(-1, cout).T).reshape(bsz, h, wdt, k, k, cin)
         gxp = np.zeros_like(xp)
         for ki in range(k):
             for kj in range(k):
                 y0, x0 = ki * dilation, kj * dilation
-                gxp[:, y0:y0 + (ho - 1) * stride + 1:stride,
-                    x0:x0 + (wo - 1) * stride + 1:stride, :] += gp[:, :, :, ki, kj, :]
-        gx = gxp[:, pads[0]:pads[0] + h, pads[2]:pads[2] + wdt, :]
+                gxp[:, y0:y0 + h, x0:x0 + wdt, :] += gp[:, :, :, ki, kj, :]
+        gx = gxp[:, p:p + h, p:p + wdt, :]
         if b is None:
             return (gx, gw)
         return (gx, gw, g.sum(axis=(0, 1, 2)))
@@ -495,13 +463,13 @@ def conv2d(x, w, b=None, stride=1, dilation=1, padding="same"):
     return _make(out, parents, vjp)
 
 
-def deformable_conv2d(x, w, b, offsets, dilation=1):
+def deformable_conv2d(x, w, b, offsets):
     """Convolution whose taps sample at learned continuous offsets.
 
     Each kernel tap samples the zero-padded input at
-    (base position + dilated tap offset + learned offset) via bilinear
+    (base position + tap offset + learned offset) via bilinear
     interpolation; coordinates are clamped to the padded image bounds so
-    zero offsets reproduce conv2d(..., padding="same") exactly.
+    zero offsets reproduce conv2d exactly.
 
     offsets: B x H x W x (2*k*k), ordered (dy, dx) per tap, row-major taps.
     """
@@ -518,15 +486,15 @@ def deformable_conv2d(x, w, b, offsets, dilation=1):
     bsz, h, wdt, cin = xd.shape
     cout = wd.shape[3]
 
-    p = dilation * (k - 1) // 2
+    p = (k - 1) // 2
     xp = np.pad(xd, ((0, 0), (p, p), (p, p), (0, 0)))
     hp, wp = h + 2 * p, wdt + 2 * p
 
     offs = od.reshape(bsz, h, wdt, k, k, 2)
     ys = np.arange(h, dtype=xd.dtype)[None, :, None, None, None]
     xs = np.arange(wdt, dtype=xd.dtype)[None, None, :, None, None]
-    tap_y = (dilation * np.arange(k, dtype=xd.dtype))[None, None, None, :, None]
-    tap_x = (dilation * np.arange(k, dtype=xd.dtype))[None, None, None, None, :]
+    tap_y = np.arange(k, dtype=xd.dtype)[None, None, None, :, None]
+    tap_x = np.arange(k, dtype=xd.dtype)[None, None, None, None, :]
     py_raw = ys + tap_y + offs[..., 0]
     px_raw = xs + tap_x + offs[..., 1]
     py = np.clip(py_raw, 0.0, hp - 1.0)

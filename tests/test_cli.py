@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hdrdeghost
+from hdrdeghost import tensor as tc
 from hdrdeghost.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main)
 from hdrdeghost.codecs import read_pfm
 from hdrdeghost.config import parse_config
@@ -10,6 +16,7 @@ from hdrdeghost.model import (ConfigError, init_params, save_checkpoint,
                               tiny_preset)
 
 from test_codecs import write_sample
+from test_model import MALFORMED_MANIFESTS, _saved_with_manifest
 
 TINY_CONF = "\n".join([
     "preset = tiny",
@@ -96,6 +103,18 @@ class TestFuse:
         assert main(["inspect", "--checkpoint", str(bad)]) == EXIT_CONFIG
         assert "embed.b" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", sorted(MALFORMED_MANIFESTS))
+    def test_malformed_checkpoint_exits_2(self, tmp_path, edit, capsys):
+        bad = _saved_with_manifest(tmp_path / "bad.hdck",
+                                   MALFORMED_MANIFESTS[edit])
+        sample = write_sample(tmp_path / "data", "s0", h=16, w=16)
+        out = tmp_path / "out.pfm"
+        assert main(["fuse", "--input", str(sample), "--checkpoint", str(bad),
+                     "--output", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        assert main(["inspect", "--checkpoint", str(bad)]) == EXIT_CONFIG
+        assert "error: malformed checkpoint" in capsys.readouterr().err
+
     def test_config_mismatch_exits_2(self, tmp_path, checkpoint):
         conf = tmp_path / "conf.txt"
         conf.write_text("preset = tiny\nwindow = 8\n")
@@ -153,6 +172,15 @@ class TestTrain:
                    "--out", str(tmp_path / "run")])
         assert rc == EXIT_IO
 
+    def test_scenes_smaller_than_patch_exit_1(self, tmp_path, capsys):
+        write_sample(tmp_path / "data", "s0", h=16, w=16)
+        conf = tmp_path / "conf.txt"
+        conf.write_text("preset = tiny\npatch = 32\nstride = 32\n")
+        rc = main(["train", "--data", str(tmp_path / "data"),
+                   "--config", str(conf), "--out", str(tmp_path / "run")])
+        assert rc == EXIT_IO
+        assert "smaller than patch" in capsys.readouterr().err
+
     def test_bad_config_exits_2(self, tmp_path):
         conf = tmp_path / "conf.txt"
         conf.write_text("nonsense = 1\n")
@@ -188,6 +216,31 @@ class TestEval:
         assert rc == EXIT_IO
 
 
+class TestNonFinite:
+    @pytest.fixture()
+    def nan_checkpoint(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tc, "DEBUG_CHECKS", True)
+        cfg = tiny_preset()
+        params = init_params(cfg, seed=1)
+        params["embed.w"] = np.full_like(params["embed.w"], np.nan)
+        path = tmp_path / "nan.hdck"
+        save_checkpoint(path, params, cfg)
+        write_sample(tmp_path / "data", "s0", h=16, w=16)
+        return path
+
+    def test_fuse_exits_3(self, tmp_path, nan_checkpoint, capsys):
+        out = tmp_path / "out.pfm"
+        assert main(["fuse", "--input", str(tmp_path / "data" / "s0"),
+                     "--checkpoint", str(nan_checkpoint),
+                     "--output", str(out)]) == EXIT_NUMERIC
+        assert not out.exists()
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_eval_exits_3(self, tmp_path, nan_checkpoint):
+        assert main(["eval", "--data", str(tmp_path / "data"),
+                     "--checkpoint", str(nan_checkpoint)]) == EXIT_NUMERIC
+
+
 class TestGradcheckCommand:
     def test_single_op_passes(self, capsys):
         rc = main(["gradcheck", "--ops", "conv2d"])
@@ -215,6 +268,20 @@ class TestInspect:
         out = capsys.readouterr().out
         assert rc == EXIT_OK
         assert "embed_dim = 16" in out
+
+
+def test_module_entry_point_exits_2_without_traceback(tmp_path):
+    bad = _saved_with_manifest(tmp_path / "bad.hdck",
+                               MALFORMED_MANIFESTS["extra_config_key"])
+    src = str(Path(hdrdeghost.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hdrdeghost.cli", "inspect", "--checkpoint",
+         str(bad)], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_CONFIG
+    assert "error: malformed checkpoint" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 class TestThreadEnvDeterminism:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from hdrdeghost import tensor as tc
-from hdrdeghost.head import (apply_attention, concat_head, extract_shallow,
-                             head_forward, sar, spatial_attention)
+from hdrdeghost.head import (apply_attention, extract_shallow, head_forward,
+                             sar, spatial_attention)
 from hdrdeghost.model import init_params, tiny_preset
 
 

@@ -1,10 +1,15 @@
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hdrdeghost import tensor as tc
 from hdrdeghost.hdrmath import LdrImage, SampleTriplet, build_input
-from hdrdeghost.model import (CheckpointError, ConfigError, ModelConfig,
-                              bind_params, dt_forward, forward_from_inputs,
+from hdrdeghost.model import (CHECKPOINT_MAGIC, CheckpointError, ConfigError,
+                              ModelConfig, bind_params, dt_forward,
+                              forward_from_inputs,
                               global_branch, hdt_forward, init_params,
                               load_checkpoint, local_branch, model_forward,
                               msa, full_preset, param_manifest,
@@ -278,3 +283,90 @@ class TestCheckpoint:
         save_checkpoint(path, bad, cfg)
         with pytest.raises(CheckpointError, match=r"embed\.b has shape \(7,\)"):
             load_checkpoint(path)
+
+    def test_short_header_rejected(self, tmp_path):
+        path = tmp_path / "m.hdck"
+        path.write_bytes(CHECKPOINT_MAGIC + b"\x00\x00")  # 10 bytes
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+
+
+def _saved_with_manifest(path, edit):
+    """Save a tiny checkpoint, then re-encode its manifest after ``edit``."""
+    cfg = tiny_preset()
+    save_checkpoint(path, init_params(cfg, seed=1), cfg)
+    blob = path.read_bytes()
+    head = len(CHECKPOINT_MAGIC) + 4
+    (mlen,) = struct.unpack_from("<I", blob, len(CHECKPOINT_MAGIC))
+    manifest = json.loads(blob[head:head + mlen])
+    edit(manifest)
+    text = json.dumps(manifest).encode()
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(text)) + text
+                     + blob[head + mlen:])
+    return path
+
+
+# manifests that parse as JSON but not as a checkpoint; unwrapped, they raise
+# TypeError, KeyError, TypeError, KeyError and OverflowError in load_checkpoint
+MALFORMED_MANIFESTS = {
+    "extra_config_key": lambda m: m["config"].update(bogus=1),
+    "missing_config": lambda m: m.pop("config"),
+    "non_integer_channels": lambda m: m["config"].update(channels="eight"),
+    "tensor_without_name": lambda m: m["tensors"][0].pop("name"),
+    "infinite_shape": lambda m: m["tensors"][0].update(shape=[float("inf")]),
+}
+
+
+class TestMalformedCheckpoint:
+    @pytest.mark.parametrize("edit", sorted(MALFORMED_MANIFESTS))
+    def test_rejected_as_checkpoint_error(self, edit, tmp_path):
+        path = _saved_with_manifest(tmp_path / "m.hdck",
+                                    MALFORMED_MANIFESTS[edit])
+        with pytest.raises(CheckpointError, match="malformed"):
+            load_checkpoint(path)
+
+    def test_oversized_shape_rejected_before_reading(self, tmp_path):
+        path = _saved_with_manifest(
+            tmp_path / "m.hdck",
+            lambda m: m["tensors"][0].update(shape=[10**6, 10**6]))
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_invalid_config_value_stays_config_error(self, tmp_path):
+        path = _saved_with_manifest(tmp_path / "m.hdck",
+                                    lambda m: m["config"].update(heads=3))
+        with pytest.raises(ConfigError, match="divisible"):
+            load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "m.hdck"
+    cfg = tiny_preset()
+    save_checkpoint(path, init_params(cfg, seed=1), cfg)
+    return path, path.read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzzed_checkpoint_loads_exactly_or_raises_typed_error(
+        tiny_checkpoint, data):
+    path, blob = tiny_checkpoint
+    if data.draw(st.booleans(), label="truncate"):
+        bad = blob[:data.draw(st.integers(0, len(blob) - 1), label="cut")]
+    else:
+        # most flips land in the payload; the header is drawn on its own
+        header = len(CHECKPOINT_MAGIC) + 4 + struct.unpack_from(
+            "<I", blob, len(CHECKPOINT_MAGIC))[0]
+        at = data.draw(st.one_of(st.integers(0, header - 1),
+                                 st.integers(0, len(blob) - 1)), label="at")
+        bad = bytearray(blob)
+        bad[at] ^= data.draw(st.integers(1, 255), label="xor")
+    path.write_bytes(bytes(bad))
+    try:
+        params, cfg = load_checkpoint(path)
+    except (CheckpointError, ConfigError):
+        return
+    expected = init_params(cfg, seed=0)
+    assert ({k: v.shape for k, v in params.items()}
+            == {k: v.shape for k, v in expected.items()})
