@@ -46,10 +46,8 @@ def _config_diff(a, b):
 
 def cmd_fuse(args):
     params, cfg = load_checkpoint(args.checkpoint)
-    mu = 5000.0
     if args.config:
-        file_cfg, tcfg = parse_config(args.config)
-        mu = tcfg.mu
+        file_cfg, _ = parse_config(args.config)
         diff = _config_diff(cfg, file_cfg)
         if diff:
             raise ConfigError("checkpoint/config mismatch:\n  "
@@ -58,7 +56,7 @@ def cmd_fuse(args):
     out = model_forward(sample, params, cfg)
     codecs.write_pfm(args.output, out.pixels)
     if args.tonemapped:
-        codecs.write_ppm(args.tonemapped, mu_law(out.pixels, mu))
+        codecs.write_ppm(args.tonemapped, mu_law(out.pixels))
     return EXIT_OK
 
 
@@ -70,8 +68,7 @@ def cmd_train(args):
                  "both": {"sar": False, "deformable": False}}[args.ablate]
         cfg = replace(cfg, **flags)
     if args.synthetic:
-        dataset = synth_dataset(args.synthetic, seed=tcfg.seed,
-                                size=tcfg.patch, gamma=tcfg.gamma)
+        dataset = synth_dataset(args.synthetic, seed=tcfg.seed, size=tcfg.patch)
     else:
         dataset = codecs.load_dataset(args.data)
     params = init_params(cfg, seed=tcfg.seed)

@@ -1,15 +1,15 @@
 """Radiometric math and image/sample types for multi-exposure fusion."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import tensor as tc
 
-GAMMA_DEFAULT = 2.2
-MU_DEFAULT = 5000.0
+GAMMA = 2.2      # LDR -> radiance: pixels**GAMMA / exposure time
+MU = 5000.0      # mu-law tonemap behind the loss and PSNR-mu
 
 
 @dataclass(frozen=True)
@@ -77,41 +77,35 @@ class SampleTriplet:
         return self.ldr[1]
 
 
-def gamma_correct(img: LdrImage, gamma: float = GAMMA_DEFAULT) -> np.ndarray:
-    """Map an LDR image into HDR space: pixels**gamma / exposure_time."""
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    return img.pixels ** gamma / img.exposure_time
+def gamma_correct(img: LdrImage) -> np.ndarray:
+    """Map an LDR image into HDR space: pixels**GAMMA / exposure_time."""
+    return img.pixels ** GAMMA / img.exposure_time
 
 
-def build_input(s: SampleTriplet, gamma: float = GAMMA_DEFAULT):
+def build_input(s: SampleTriplet):
     """Per-exposure 6-channel network inputs: [LDR RGB, gamma-corrected RGB].
 
     Returns three 1 x H x W x 6 arrays, ordered short/medium/long.
     """
     out = []
     for img in s.ldr:
-        six = np.concatenate([img.pixels, gamma_correct(img, gamma)], axis=2)
+        six = np.concatenate([img.pixels, gamma_correct(img)], axis=2)
         out.append(six[None, ...])
     return out
 
 
-def mu_law(x: np.ndarray, mu: float = MU_DEFAULT) -> np.ndarray:
-    """Log range compression log(1 + mu*x) / log(1 + mu) on [0, 1] inputs.
+def mu_law(x: np.ndarray) -> np.ndarray:
+    """Log range compression log(1 + MU*x) / log(1 + MU) on [0, 1] inputs.
 
     Values above 1 are clamped before the mapping. Float inputs keep their
     dtype.
     """
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
     xc = np.clip(x, 0.0, 1.0)
-    return np.log1p(mu * xc) / float(np.log1p(mu))
+    return np.log1p(MU * xc) / float(np.log1p(MU))
 
 
-def mu_law_t(x: tc.Tensor, mu: float = MU_DEFAULT) -> tc.Tensor:
+def mu_law_t(x: tc.Tensor) -> tc.Tensor:
     """Differentiable mu-law for loss computation (clamps inputs to [0, 1])."""
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
     xc = tc.clip(x, 0.0, 1.0)
-    return tc.mul_scalar(tc.log(tc.add_scalar(tc.mul_scalar(xc, mu), 1.0)),
-                         1.0 / np.log1p(mu))
+    return tc.mul_scalar(tc.log(tc.add_scalar(tc.mul_scalar(xc, MU), 1.0)),
+                         1.0 / np.log1p(MU))

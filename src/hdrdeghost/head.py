@@ -10,22 +10,22 @@ from __future__ import annotations
 from . import tensor as tc
 
 
-def extract_shallow(x, p, slope):
+def extract_shallow(x, p):
     """Three stacked conv3x3 + LeakyReLU layers, 6 -> C -> C -> C."""
     for i in range(3):
         x = tc.leaky_relu(tc.conv2d(x, p[f"head.shallow.{i}.w"],
-                                    p[f"head.shallow.{i}.b"]), slope)
+                                    p[f"head.shallow.{i}.b"]))
     return x
 
 
-def spatial_attention(f_i, f_ref, p, which, slope):
+def spatial_attention(f_i, f_ref, p, which):
     """Per-pixel sigmoid gate from a (non-reference, reference) feature pair."""
     if f_i.shape != f_ref.shape:
         raise tc.ShapeError(
             f"attention inputs must match: {f_i.shape} vs {f_ref.shape}")
     z = tc.concat([f_i, f_ref], axis=3)
     a = tc.leaky_relu(tc.conv2d(z, p[f"head.att{which}.conv1.w"],
-                                p[f"head.att{which}.conv1.b"]), slope)
+                                p[f"head.att{which}.conv1.b"]))
     return tc.sigmoid(tc.conv2d(a, p[f"head.att{which}.conv2.w"],
                                 p[f"head.att{which}.conv2.b"]))
 
@@ -47,12 +47,11 @@ def sar(f_ref, m_short, m_long, enabled=True):
 
 def head_forward(inputs, p, cfg):
     """Full head: three 6-channel streams -> B x H x W x 4C initial feature."""
-    slope = cfg.leaky_slope
-    f1 = extract_shallow(inputs[0], p, slope)
-    f2 = extract_shallow(inputs[1], p, slope)
-    f3 = extract_shallow(inputs[2], p, slope)
-    m1 = spatial_attention(f1, f2, p, 1, slope)
-    m3 = spatial_attention(f3, f2, p, 3, slope)
+    f1 = extract_shallow(inputs[0], p)
+    f2 = extract_shallow(inputs[1], p)
+    f3 = extract_shallow(inputs[2], p)
+    m1 = spatial_attention(f1, f2, p, 1)
+    m3 = spatial_attention(f3, f2, p, 3)
     fm1 = apply_attention(f1, m1)
     fm3 = apply_attention(f3, m3)
     fm2 = sar(f2, m1, m3, enabled=cfg.sar)

@@ -80,7 +80,7 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
 METRIC_FIELDS = ("psnr_mu", "psnr_l", "ssim_mu", "ssim_l")
 
 
-def eval_report(model_fn, dataset, mu: float = 5000.0):
+def eval_report(model_fn, dataset):
     """Per-sample and mean metrics for a model over a GT-bearing dataset.
 
     ``model_fn`` maps a SampleTriplet to an H x W x 3 output in [0, 1].
@@ -94,7 +94,7 @@ def eval_report(model_fn, dataset, mu: float = 5000.0):
             continue
         out = model_fn(s)
         gt = s.ground_truth.pixels
-        tm_out, tm_gt = mu_law(out, mu), mu_law(gt, mu)
+        tm_out, tm_gt = mu_law(out), mu_law(gt)
         rows.append({
             "name": s.name,
             "psnr_mu": psnr(tm_out, tm_gt),

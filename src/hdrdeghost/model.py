@@ -7,6 +7,7 @@ M groups plus a dilated-conv tail with two global residuals form the body.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, asdict, replace
 
@@ -31,11 +32,8 @@ class ModelConfig:
     heads: int = 6
     blocks_per_group: int = 6  # N
     groups: int = 3            # M
-    mlp_ratio: float = 2.0
-    dilation: int = 2
     sar: bool = True
     deformable: bool = True
-    leaky_slope: float = 0.01
     dtype: str = "f32"
 
     def __post_init__(self):
@@ -43,10 +41,8 @@ class ModelConfig:
             raise ConfigError(
                 f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
         if min(self.channels, self.embed_dim, self.window, self.heads,
-               self.blocks_per_group, self.groups, self.dilation) < 1:
+               self.blocks_per_group, self.groups) < 1:
             raise ConfigError("all structural sizes must be >= 1")
-        if self.mlp_ratio <= 0:
-            raise ConfigError(f"mlp_ratio must be positive, got {self.mlp_ratio}")
         if self.dtype not in tc.DTYPES:
             raise ConfigError(f"dtype must be one of {sorted(tc.DTYPES)}")
 
@@ -65,7 +61,7 @@ class ModelConfig:
 
     @property
     def mlp_hidden(self):
-        return max(1, int(round(self.mlp_ratio * self.embed_dim)))
+        return 2 * self.embed_dim
 
 
 def full_preset(**overrides) -> ModelConfig:
@@ -226,27 +222,26 @@ def global_branch(x, p, pre, cfg, shift):
     em1 = tc.add(window_reverse(msa(tokens, p, pre, cfg), cfg.window, shift, info), x)
     z = tc.layer_norm(em1, p[f"{pre}.ln2.g"], p[f"{pre}.ln2.b"])
     z = tc.linear(z, p[f"{pre}.mlp.fc1.w"], p[f"{pre}.mlp.fc1.b"])
-    z = tc.leaky_relu(z, cfg.leaky_slope)
+    z = tc.leaky_relu(z)
     z = tc.linear(z, p[f"{pre}.mlp.fc2.w"], p[f"{pre}.mlp.fc2.b"])
     return tc.add(z, em1)
 
 
 def local_branch(x, p, pre, cfg):
     """Deformable-conv chain pooled into a per-channel gate on the input."""
-    slope = cfg.leaky_slope
     f_in = tc.layer_norm(x, p[f"{pre}.local.ln.g"], p[f"{pre}.local.ln.b"])
     t = tc.leaky_relu(tc.conv2d(f_in, p[f"{pre}.local.conv1.w"],
-                                p[f"{pre}.local.conv1.b"]), slope)
+                                p[f"{pre}.local.conv1.b"]))
     t = tc.leaky_relu(tc.conv2d(t, p[f"{pre}.local.conv2.w"],
-                                p[f"{pre}.local.conv2.b"]), slope)
+                                p[f"{pre}.local.conv2.b"]))
     for j in (1, 2):
         w, b = p[f"{pre}.local.dconv{j}.w"], p[f"{pre}.local.dconv{j}.b"]
         if cfg.deformable:
             off = tc.conv2d(t, p[f"{pre}.local.dconv{j}.off.w"],
                             p[f"{pre}.local.dconv{j}.off.b"])
-            t = tc.leaky_relu(tc.deformable_conv2d(t, w, b, off), slope)
+            t = tc.leaky_relu(tc.deformable_conv2d(t, w, b, off))
         else:
-            t = tc.leaky_relu(tc.conv2d(t, w, b), slope)
+            t = tc.leaky_relu(tc.conv2d(t, w, b))
     pooled = tc.global_avg_pool(t)
     wc = tc.sigmoid(tc.linear(pooled, p[f"{pre}.local.fc.w"],
                               p[f"{pre}.local.fc.b"]))
@@ -272,7 +267,7 @@ def hdt_forward(f_init, p, cfg):
             x = dt_forward(x, p, f"group{g}.dt{n}", cfg, shift)
         x = tc.add(tc.conv2d(x, p[f"group{g}.conv.w"], p[f"group{g}.conv.b"]), gin)
     y = tc.add(tc.conv2d(x, p["tail.dilated.w"], p["tail.dilated.b"],
-                         dilation=cfg.dilation), x0)
+                         dilation=2), x0)
     y = tc.add(tc.conv2d(y, p["tail.conv1.w"], p["tail.conv1.b"]), x0)
     return tc.sigmoid(tc.conv2d(y, p["tail.out.w"], p["tail.out.b"]))
 
@@ -289,15 +284,16 @@ def forward_from_inputs(inputs, leaves, cfg):
     return hdt_forward(head_forward(inputs, leaves, cfg), leaves, cfg)
 
 
-def model_forward(s: SampleTriplet, params: dict, cfg: ModelConfig,
-                  gamma: float = 2.2) -> HdrImage:
+def model_forward(s: SampleTriplet, params: dict, cfg: ModelConfig) -> HdrImage:
     """End-to-end fusion of a triplet into a linear HDR image in [0, 1].
 
     Untaped: each intermediate is freed as soon as the next layer is done
-    with it."""
+    with it. A non-finite output raises FloatingPointError."""
     dt = tc.DTYPES[cfg.dtype]
-    inputs = [x.astype(dt) for x in build_input(s, gamma)]
+    inputs = [x.astype(dt) for x in build_input(s)]
     out = forward_from_inputs(inputs, params, cfg)
+    if not np.all(np.isfinite(out.data)):
+        raise FloatingPointError("non-finite model output")
     return HdrImage(pixels=np.asarray(out.data[0], dtype=np.float64))
 
 
@@ -311,7 +307,10 @@ class CheckpointError(ValueError):
 def save_checkpoint(path, params: dict, cfg: ModelConfig):
     """Self-describing container: magic, JSON manifest, little-endian float
     payloads in manifest order. Payload dtype follows the config (f32 for
-    training/inference, f64 in gradient-check mode) so resuming is lossless."""
+    training/inference, f64 in gradient-check mode) so resuming is lossless.
+
+    Written to ``<path>.tmp`` and then renamed over ``path``, so a failed or
+    interrupted save leaves the previous file whole."""
     names = sorted(params)
     wire = "<f8" if cfg.dtype == "f64" else "<f4"
     manifest = {
@@ -320,12 +319,14 @@ def save_checkpoint(path, params: dict, cfg: ModelConfig):
                      "dtype": cfg.dtype} for k in names],
     }
     blob = json.dumps(manifest).encode()
-    with open(path, "wb") as f:
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<I", len(blob)))
         f.write(blob)
         for k in names:
             f.write(np.ascontiguousarray(params[k], dtype=wire).tobytes())
+    os.replace(tmp, path)
 
 
 def _parse_checkpoint(blob):

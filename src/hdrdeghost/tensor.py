@@ -2,7 +2,8 @@
 
 Canonical image layout is batch x height x width x channels (BHWC). All
 kernels are pure: the same inputs always produce bit-identical outputs.
-Set HDT_DEBUG_CHECKS=1 to assert finiteness after every kernel.
+Set HDT_DEBUG_CHECKS=1 to assert finiteness after every kernel; a failure
+names the kernel.
 """
 from __future__ import annotations
 
@@ -52,8 +53,6 @@ class Tensor:
         self.name = name
         if tape is not None:
             tape.record(self)
-        if DEBUG_CHECKS and not np.all(np.isfinite(self.data)):
-            raise FloatingPointError(f"non-finite values in tensor {name or ''}")
 
     @property
     def shape(self):
@@ -84,6 +83,9 @@ def _tape(*xs):
 
 
 def _make(data, parents, vjp):
+    if DEBUG_CHECKS and not np.all(np.isfinite(data)):
+        kernel = vjp.__qualname__.split(".")[0]  # vjps are local to their kernel
+        raise FloatingPointError(f"non-finite values in {kernel} output")
     tape = _tape(*parents)
     if tape is None:
         return Tensor(data)
@@ -216,9 +218,9 @@ def sigmoid(x):
     return _make(y, (x,), lambda g: (g * y * (1.0 - y),))
 
 
-def leaky_relu(x, slope=0.01):
+def leaky_relu(x):
     xd = _data(x)
-    mask = np.where(xd >= 0, 1.0, slope).astype(xd.dtype)
+    mask = np.where(xd >= 0, 1.0, 0.01).astype(xd.dtype)
     return _make(xd * mask, (x,), lambda g: (g * mask,))
 
 

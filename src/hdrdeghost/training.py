@@ -3,15 +3,15 @@ synthetic desk-scale dataset generator, and the training loop."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as tc
-from .hdrmath import HdrImage, LdrImage, SampleTriplet, mu_law, mu_law_t
+from .hdrmath import (GAMMA, HdrImage, LdrImage, SampleTriplet, build_input,
+                      mu_law, mu_law_t)
 from .model import ModelConfig, bind_params, forward_from_inputs, save_checkpoint
-from .hdrmath import build_input
 from .metrics import psnr
 
 
@@ -26,14 +26,8 @@ class TrainConfig:
     patch: int = 128
     stride: int = 64
     seed: int = 0
-    mu: float = 5000.0
-    gamma: float = 2.2
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     max_steps: int = 0          # 0 = no cap beyond epochs
-    checkpoint_every: int = 0   # epochs between periodic checkpoints (0 = final only)
 
     def __post_init__(self):
         if self.stride > self.patch:
@@ -42,24 +36,27 @@ class TrainConfig:
             raise ValueError("batch_size, epochs and patch must be >= 1")
 
 
-def l1_tonemapped_loss(out: tc.Tensor, gt, mu: float = 5000.0) -> tc.Tensor:
+def l1_tonemapped_loss(out: tc.Tensor, gt) -> tc.Tensor:
     """Mean absolute difference of mu-law tonemapped images."""
     gt_d = gt.data if isinstance(gt, tc.Tensor) else np.asarray(gt)
     if out.shape != gt_d.shape:
         raise tc.ShapeError(
             f"loss operands differ in shape: {out.shape} vs {gt_d.shape}")
-    t_gt = tc.constant(mu_law(gt_d, mu))
-    return tc.mean(tc.abs_(tc.sub(mu_law_t(out, mu), t_gt)))
+    t_gt = tc.constant(mu_law(gt_d))
+    return tc.mean(tc.abs_(tc.sub(mu_law_t(out), t_gt)))
 
 
 # ---------------------------------------------------------------------------
 # Adam
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # moment decays, denominator floor
+
+
 class AdamState:
     """Bias-corrected Adam moments for a named parameter dict."""
 
-    def __init__(self, params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, params, lr=1e-4):
+        self.lr = lr
         self.step_count = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
@@ -72,17 +69,16 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> dict:
             raise TrainingError(f"non-finite gradient for parameter {k!r}")
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
     out = {}
     for k, w in params.items():
         g = grads.get(k)
         if g is None:
             g = np.zeros_like(w)
-        m = state.m[k] = b1 * state.m[k] + (1 - b1) * g
-        v = state.v[k] = b2 * state.v[k] + (1 - b2) * g * g
-        mhat = m / (1 - b1 ** t)
-        vhat = v / (1 - b2 ** t)
-        out[k] = w - state.lr * mhat / (np.sqrt(vhat) + state.eps)
+        m = state.m[k] = BETA1 * state.m[k] + (1 - BETA1) * g
+        v = state.v[k] = BETA2 * state.v[k] + (1 - BETA2) * g * g
+        mhat = m / (1 - BETA1 ** t)
+        vhat = v / (1 - BETA2 ** t)
+        out[k] = w - state.lr * mhat / (np.sqrt(vhat) + EPS)
     return out
 
 
@@ -143,7 +139,7 @@ def augment(s: SampleTriplet, code: int) -> SampleTriplet:
 # ---------------------------------------------------------------------------
 # synthetic data
 
-def synth_dataset(n, seed=0, size=32, motion=True, gamma=2.2):
+def synth_dataset(n, seed=0, size=32, motion=True):
     """Procedural radiance fields exposed at t = (0.25, 1, 4).
 
     Each scene is a smooth gradient plus random soft blobs; with ``motion``
@@ -190,7 +186,7 @@ def synth_dataset(n, seed=0, size=32, motion=True, gamma=2.2):
                         - blob(cy, cx, r, amp))
                 rad = np.clip(moved, 0.0, None)
                 rad = rad / max(rad.max(), 1e-9)
-            ldr.append(LdrImage(np.clip((t * rad) ** (1.0 / gamma), 0.0, 1.0), t))
+            ldr.append(LdrImage(np.clip((t * rad) ** (1.0 / GAMMA), 0.0, 1.0), t))
         samples.append(SampleTriplet(ldr=tuple(ldr),
                                      ground_truth=HdrImage(radiance),
                                      name=f"synth{i:04d}"))
@@ -207,23 +203,22 @@ def training_step(batch, params, cfg: ModelConfig, tcfg: TrainConfig):
     tape = tc.Tape()
     leaves = bind_params(params, tape)
     dt = tc.DTYPES[cfg.dtype]
-    ins = [np.concatenate([build_input(s, tcfg.gamma)[k] for s in batch], axis=0)
+    ins = [np.concatenate([build_input(s)[k] for s in batch], axis=0)
            .astype(dt) for k in range(3)]
     gt = np.stack([s.ground_truth.pixels for s in batch], axis=0).astype(dt)
     out = forward_from_inputs(ins, leaves, cfg)
-    loss = l1_tonemapped_loss(out, gt, tcfg.mu)
+    loss = l1_tonemapped_loss(out, gt)
     grads = tc.backward(loss)
     gdict = {k: grads[leaf] for k, leaf in leaves.items() if leaf in grads}
     return float(loss.data), gdict
 
 
-def _eval_psnr_mu(samples, params, cfg, mu):
+def _eval_psnr_mu(samples, params, cfg):
     from .model import model_forward
     vals = []
     for s in samples:
         out = model_forward(s, params, cfg)
-        vals.append(psnr(mu_law(out.pixels, mu),
-                         mu_law(s.ground_truth.pixels, mu)))
+        vals.append(psnr(mu_law(out.pixels), mu_law(s.ground_truth.pixels)))
     return float(np.mean(vals))
 
 
@@ -249,7 +244,7 @@ def train_loop(dataset, params, cfg: ModelConfig, tcfg: TrainConfig,
     val = sorted(dataset, key=lambda s: s.name)[-n_val:]
 
     rng = np.random.default_rng(tcfg.seed)
-    state = AdamState(params, tcfg.lr, tcfg.beta1, tcfg.beta2, tcfg.eps)
+    state = AdamState(params, tcfg.lr)
     step = 0
     last_good = dict(params)
     try:
@@ -271,17 +266,13 @@ def train_loop(dataset, params, cfg: ModelConfig, tcfg: TrainConfig,
                     step += 1
                     if tcfg.max_steps and step >= tcfg.max_steps:
                         break
-                psnr_mu = _eval_psnr_mu(val, params, cfg, tcfg.mu)
+                psnr_mu = _eval_psnr_mu(val, params, cfg)
                 rec = {"epoch": epoch, "step": step, "loss": loss,
                        "psnr_mu": psnr_mu}
                 log.write(json.dumps(rec) + "\n")
                 log.flush()
                 if log_fn:
                     log_fn(rec)
-                if (tcfg.checkpoint_every
-                        and (epoch + 1) % tcfg.checkpoint_every == 0):
-                    save_checkpoint(out_dir / f"checkpoint_ep{epoch:04d}.hdck",
-                                    params, cfg)
                 if tcfg.max_steps and step >= tcfg.max_steps:
                     break
     except KeyboardInterrupt:

@@ -105,7 +105,7 @@ def test_criterion_04_reference_gating_algebra():
     ins = [tc.constant(rng.uniform(0, 1, size=(1, 8, 8, 6))) for _ in range(3)]
     out = head_forward(ins, params, cfg).data
     from hdrdeghost.head import extract_shallow
-    f_ref = extract_shallow(ins[1], params, cfg.leaky_slope).data
+    f_ref = extract_shallow(ins[1], params).data
     c = cfg.channels
     passthrough = np.array_equal(out[..., c:2 * c], f_ref)
     ok = symmetric and passthrough
@@ -144,7 +144,7 @@ def overfit_run(tmp_path_factory):
     params = init_params(cfg, seed=7)
     data = synth_dataset(4, seed=7, size=32)
     tcfg = TrainConfig(batch_size=4, patch=32, stride=32, seed=7)
-    state = AdamState(params, tcfg.lr, tcfg.beta1, tcfg.beta2, tcfg.eps)
+    state = AdamState(params, tcfg.lr)
 
     start = time.monotonic()
     initial, _ = training_step(data, params, cfg, tcfg)

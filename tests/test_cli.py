@@ -65,6 +65,14 @@ class TestParseConfig:
         assert mcfg.embed_dim == 16
         assert tcfg.lr == 0.001
 
+    @pytest.mark.parametrize("key", ["mu", "gamma", "beta1", "beta2", "eps",
+                                     "checkpoint_every", "mlp_ratio",
+                                     "dilation", "leaky_slope"])
+    def test_fixed_constant_key_rejected(self, key):
+        # fixed constants are not settable, so train, fuse and eval agree
+        with pytest.raises(ConfigError, match=f"line 2: unknown key '{key}'"):
+            parse_config(text=f"preset = tiny\n{key} = 1\n")
+
 
 class TestFuse:
     def test_writes_valid_hdr_output(self, tmp_path, checkpoint):
@@ -188,6 +196,15 @@ class TestTrain:
                    "--out", str(tmp_path / "run")])
         assert rc == EXIT_CONFIG
 
+    def test_gamma_key_exits_2(self, tmp_path, capsys):
+        conf = tmp_path / "conf.txt"
+        conf.write_text(TINY_CONF + "gamma = 1.0\n")
+        rc = main(["train", "--synthetic", "1", "--config", str(conf),
+                   "--out", str(tmp_path / "run")])
+        assert rc == EXIT_CONFIG
+        assert "line 8: unknown key 'gamma'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
 
 class TestEval:
     def test_json_and_table_agree(self, tmp_path, checkpoint, capsys):
@@ -218,8 +235,7 @@ class TestEval:
 
 class TestNonFinite:
     @pytest.fixture()
-    def nan_checkpoint(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(tc, "DEBUG_CHECKS", True)
+    def nan_checkpoint(self, tmp_path):
         cfg = tiny_preset()
         params = init_params(cfg, seed=1)
         params["embed.w"] = np.full_like(params["embed.w"], np.nan)
@@ -228,17 +244,43 @@ class TestNonFinite:
         write_sample(tmp_path / "data", "s0", h=16, w=16)
         return path
 
-    def test_fuse_exits_3(self, tmp_path, nan_checkpoint, capsys):
-        out = tmp_path / "out.pfm"
-        assert main(["fuse", "--input", str(tmp_path / "data" / "s0"),
-                     "--checkpoint", str(nan_checkpoint),
-                     "--output", str(out)]) == EXIT_NUMERIC
-        assert not out.exists()
-        assert "non-finite" in capsys.readouterr().err
+    @pytest.fixture()
+    def debug_checks(self, monkeypatch):
+        monkeypatch.setattr(tc, "DEBUG_CHECKS", True)
 
-    def test_eval_exits_3(self, tmp_path, nan_checkpoint):
+    @pytest.fixture()
+    def no_debug_checks(self, monkeypatch):
+        monkeypatch.setattr(tc, "DEBUG_CHECKS", False)
+
+    def fuse(self, tmp_path, checkpoint, capsys):
+        out = tmp_path / "out.pfm"
+        rc = main(["fuse", "--input", str(tmp_path / "data" / "s0"),
+                   "--checkpoint", str(checkpoint), "--output", str(out)])
+        assert not out.exists()
+        return rc, capsys.readouterr().err
+
+    def test_fuse_exits_3(self, tmp_path, nan_checkpoint, debug_checks,
+                          capsys):
+        rc, err = self.fuse(tmp_path, nan_checkpoint, capsys)
+        assert rc == EXIT_NUMERIC
+        # the embed conv is the first kernel whose output is NaN
+        assert "non-finite values in conv2d output" in err
+
+    def test_eval_exits_3(self, tmp_path, nan_checkpoint, debug_checks):
         assert main(["eval", "--data", str(tmp_path / "data"),
                      "--checkpoint", str(nan_checkpoint)]) == EXIT_NUMERIC
+
+    def test_fuse_exits_3_without_debug_checks(self, tmp_path, nan_checkpoint,
+                                               no_debug_checks, capsys):
+        rc, err = self.fuse(tmp_path, nan_checkpoint, capsys)
+        assert rc == EXIT_NUMERIC
+        assert "non-finite model output" in err
+
+    def test_eval_exits_3_without_debug_checks(self, tmp_path, nan_checkpoint,
+                                               no_debug_checks, capsys):
+        assert main(["eval", "--data", str(tmp_path / "data"),
+                     "--checkpoint", str(nan_checkpoint)]) == EXIT_NUMERIC
+        assert "non-finite model output" in capsys.readouterr().err
 
 
 class TestGradcheckCommand:

@@ -27,34 +27,34 @@ def rand_input(seed, h=8, w=8, ch=6):
 
 class TestExtractShallow:
     def test_output_shape(self, params, cfg):
-        out = extract_shallow(rand_input(0), leaves(params), cfg.leaky_slope)
+        out = extract_shallow(rand_input(0), leaves(params))
         assert out.shape == (1, 8, 8, cfg.channels)
 
     def test_zero_input_zero_bias_gives_zero(self, params, cfg):
         out = extract_shallow(tc.constant(np.zeros((1, 4, 4, 6))),
-                              leaves(params), cfg.leaky_slope)
+                              leaves(params))
         np.testing.assert_array_equal(out.data, 0.0)  # init biases are zero
 
     def test_deterministic(self, params, cfg):
-        a = extract_shallow(rand_input(1), leaves(params), cfg.leaky_slope).data
-        b = extract_shallow(rand_input(1), leaves(params), cfg.leaky_slope).data
+        a = extract_shallow(rand_input(1), leaves(params)).data
+        b = extract_shallow(rand_input(1), leaves(params)).data
         np.testing.assert_array_equal(a, b)
 
 
 class TestSpatialAttention:
     def test_maps_strictly_in_unit_interval(self, params, cfg):
         p = leaves(params)
-        f1 = extract_shallow(rand_input(2), p, cfg.leaky_slope)
-        f2 = extract_shallow(rand_input(3), p, cfg.leaky_slope)
-        m = spatial_attention(f1, f2, p, 1, cfg.leaky_slope).data
+        f1 = extract_shallow(rand_input(2), p)
+        f2 = extract_shallow(rand_input(3), p)
+        m = spatial_attention(f1, f2, p, 1).data
         assert np.all(m > 0.0) and np.all(m < 1.0)
 
     def test_streams_use_independent_modules(self, params, cfg):
         p = leaves(params)
-        f1 = extract_shallow(rand_input(4), p, cfg.leaky_slope)
-        f2 = extract_shallow(rand_input(5), p, cfg.leaky_slope)
-        m1 = spatial_attention(f1, f2, p, 1, cfg.leaky_slope).data
-        m3 = spatial_attention(f1, f2, p, 3, cfg.leaky_slope).data
+        f1 = extract_shallow(rand_input(4), p)
+        f2 = extract_shallow(rand_input(5), p)
+        m1 = spatial_attention(f1, f2, p, 1).data
+        m3 = spatial_attention(f1, f2, p, 3).data
         assert not np.array_equal(m1, m3)
 
     def test_matches_composition_oracle(self, params, cfg):
@@ -62,10 +62,10 @@ class TestSpatialAttention:
         rng = np.random.default_rng(6)
         f1 = tc.constant(rng.normal(size=(1, 6, 6, cfg.channels)))
         f2 = tc.constant(rng.normal(size=(1, 6, 6, cfg.channels)))
-        m = spatial_attention(f1, f2, p, 1, cfg.leaky_slope).data
+        m = spatial_attention(f1, f2, p, 1).data
         z = tc.concat([f1, f2], axis=3)
         a = tc.leaky_relu(tc.conv2d(z, p["head.att1.conv1.w"],
-                                    p["head.att1.conv1.b"]), cfg.leaky_slope)
+                                    p["head.att1.conv1.b"]))
         ref = tc.sigmoid(tc.conv2d(a, p["head.att1.conv2.w"],
                                    p["head.att1.conv2.b"])).data
         np.testing.assert_allclose(m, ref, atol=1e-12)
@@ -75,7 +75,7 @@ class TestSpatialAttention:
         with pytest.raises(tc.ShapeError):
             spatial_attention(tc.constant(np.zeros((1, 4, 4, 8))),
                               tc.constant(np.zeros((1, 5, 5, 8))),
-                              p, 1, cfg.leaky_slope)
+                              p, 1)
 
 
 class TestGating:
@@ -133,7 +133,7 @@ class TestConcatHead:
         out = head_forward(ins, p, cfg).data
         assert out.shape[3] == 4 * cfg.channels
         c = cfg.channels
-        f2 = extract_shallow(ins[1], p, cfg.leaky_slope).data
+        f2 = extract_shallow(ins[1], p).data
         np.testing.assert_array_equal(out[..., 3 * c:], f2)
 
     def test_sar_disabled_exposes_raw_reference(self, params):
@@ -142,7 +142,7 @@ class TestConcatHead:
         ins = [rand_input(i + 20) for i in range(3)]
         out = head_forward(ins, p, cfg_off).data
         c = cfg_off.channels
-        f2 = extract_shallow(ins[1], p, cfg_off.leaky_slope).data
+        f2 = extract_shallow(ins[1], p).data
         np.testing.assert_array_equal(out[..., c:2 * c], f2)
 
     def test_ablation_toggles_exactly_one_slice(self, params, cfg):

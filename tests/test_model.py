@@ -290,6 +290,17 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
 
+    def test_failed_save_keeps_previous_file(self, tiny64, tmp_path):
+        cfg, params = tiny64
+        path = tmp_path / "m.hdck"
+        save_checkpoint(path, params, cfg)
+        before = path.read_bytes()
+        # sorts last, so the save fails after the other payloads are written
+        bad = dict(params, zzz=np.array(["not a float"]))
+        with pytest.raises(ValueError):
+            save_checkpoint(path, bad, cfg)
+        assert path.read_bytes() == before
+
 
 def _saved_with_manifest(path, edit):
     """Save a tiny checkpoint, then re-encode its manifest after ``edit``."""
@@ -307,9 +318,13 @@ def _saved_with_manifest(path, edit):
 
 
 # manifests that parse as JSON but not as a checkpoint; unwrapped, they raise
-# TypeError, KeyError, TypeError, KeyError and OverflowError in load_checkpoint
+# TypeError, TypeError, KeyError, TypeError, KeyError and OverflowError in
+# load_checkpoint. The second is a checkpoint written while the MLP ratio,
+# tail dilation and LeakyReLU slope were still config fields.
 MALFORMED_MANIFESTS = {
     "extra_config_key": lambda m: m["config"].update(bogus=1),
+    "removed_config_fields": lambda m: m["config"].update(
+        mlp_ratio=2.0, dilation=2, leaky_slope=0.01),
     "missing_config": lambda m: m.pop("config"),
     "non_integer_channels": lambda m: m["config"].update(channels="eight"),
     "tensor_without_name": lambda m: m["tensors"][0].pop("name"),
