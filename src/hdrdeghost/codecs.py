@@ -106,6 +106,8 @@ def read_pfm(path) -> HdrImage:
         width, height, scale = int(tok_w), int(tok_h), float(tok_s)
     except ValueError:
         raise CodecError("malformed PFM header fields", offset=pos) from None
+    if width < 1 or height < 1:
+        raise CodecError(f"bad dimensions {width}x{height}", offset=0)
     if scale == 0:
         raise CodecError("PFM scale must be non-zero", offset=pos)
     pos += 1
@@ -117,7 +119,10 @@ def read_pfm(path) -> HdrImage:
             f"payload length mismatch: declared {need} bytes, have {len(buf) - pos}",
             offset=pos)
     data = np.frombuffer(payload, dtype=dtype).reshape(height, width, 3)
-    return HdrImage(pixels=np.flipud(data).astype(np.float64))
+    try:
+        return HdrImage(pixels=np.flipud(data).astype(np.float64))
+    except ValueError as e:  # NaN or negative radiance
+        raise CodecError(str(e), offset=pos) from None
 
 
 def write_pfm(path, pixels: np.ndarray):

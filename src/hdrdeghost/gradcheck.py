@@ -57,20 +57,20 @@ def _weighted(rng, shape):
 
 def _op_checks(rng):
     """One (build, arrays) case per kernel, freshly randomized."""
-    x = rng.normal(size=(1, 6, 6, 2))
+    x = rng.normal(size=(2, 6, 6, 2))  # batch 2: per-image row offsets
     w = rng.normal(size=(3, 3, 2, 3))
     b = rng.normal(size=3)
     # fractional parts bounded away from integers: bilinear sampling has
     # derivative kinks at grid points that central differences straddle
-    off = (rng.integers(-1, 2, size=(1, 6, 6, 18)).astype(float)
-           + rng.uniform(0.3, 0.7, size=(1, 6, 6, 18)))
+    off = (rng.integers(-1, 2, size=(2, 6, 6, 18)).astype(float)
+           + rng.uniform(0.3, 0.7, size=(2, 6, 6, 18)))
     xx = rng.normal(size=(4, 5))
     checks = {}
 
-    s = _weighted(rng, (1, 6, 6, 3))
+    s = _weighted(rng, (2, 6, 6, 3))
     checks["conv2d"] = (lambda x, w, b: s(tc.conv2d(x, w, b, dilation=2)),
                         [x, w, b])
-    s2 = _weighted(rng, (1, 6, 6, 3))
+    s2 = _weighted(rng, (2, 6, 6, 3))
     checks["deformable_conv2d"] = (
         lambda x, w, b, o: s2(tc.deformable_conv2d(x, w, b, o)),
         [x, w, b, off])
@@ -91,9 +91,9 @@ def _op_checks(rng):
         lambda x: tc.sum_(tc.log(tc.add_scalar(tc.sigmoid(x), 0.5))), [xx])
     checks["add_mul"] = (
         lambda a, b2: tc.sum_(tc.mul(tc.add(a, b2), b2)), [xx, rng.normal(size=(4, 5))])
-    s6 = _weighted(rng, (1, 2))
+    s6 = _weighted(rng, (2, 2))
     checks["global_avg_pool"] = (lambda x: s6(tc.global_avg_pool(x)), [x])
-    s7 = _weighted(rng, (1, 10, 9, 2))
+    s7 = _weighted(rng, (2, 10, 9, 2))
     checks["pad_reflect"] = (
         lambda x: s7(tc.pad2d(x, (2, 2, 1, 2))), [x])
     s8 = _weighted(rng, (2, 6, 6, 2))

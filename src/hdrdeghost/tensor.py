@@ -449,7 +449,7 @@ def conv2d(x, w, b=None, dilation=1):
         out = out + _data(b)
 
     def vjp(g):
-        gw = np.einsum("bhwp,bhwo->po", p2, g).reshape(wd.shape)
+        gw = (p2.reshape(-1, k * k * cin).T @ g.reshape(-1, cout)).reshape(wd.shape)
         gp = (g @ wd.reshape(-1, cout).T).reshape(bsz, h, wdt, k, k, cin)
         gxp = np.zeros_like(xp)
         for ki in range(k):
@@ -463,6 +463,14 @@ def conv2d(x, w, b=None, dilation=1):
 
     parents = (x, w) if b is None else (x, w, b)
     return _make(out, parents, vjp)
+
+
+def _lerp_rows(xf, i, t):
+    """Rows i of xf lerped toward rows i + 1 by t: (lerp, right - left)."""
+    left, d = xf[i], xf[i + 1]
+    d -= left
+    left += t[:, None] * d
+    return left, d
 
 
 def deformable_conv2d(x, w, b, offsets):
@@ -487,59 +495,64 @@ def deformable_conv2d(x, w, b, offsets):
             f"offset field must be B x H x W x {2 * k * k}, got {od.shape}")
     bsz, h, wdt, cin = xd.shape
     cout = wd.shape[3]
+    w2 = wd.reshape(k * k * cin, cout)
 
     p = (k - 1) // 2
-    xp = np.pad(xd, ((0, 0), (p, p), (p, p), (0, 0)))
     hp, wp = h + 2 * p, wdt + 2 * p
+    # the padded input as (B*hp*wp) x Cin rows: a sample's four corners are
+    # rows i00, i00 + 1, i00 + wp and i00 + wp + 1
+    xf = np.pad(xd, ((0, 0), (p, p), (p, p), (0, 0))).reshape(-1, cin)
 
     offs = od.reshape(bsz, h, wdt, k, k, 2)
     ys = np.arange(h, dtype=xd.dtype)[None, :, None, None, None]
     xs = np.arange(wdt, dtype=xd.dtype)[None, None, :, None, None]
     tap_y = np.arange(k, dtype=xd.dtype)[None, None, None, :, None]
     tap_x = np.arange(k, dtype=xd.dtype)[None, None, None, None, :]
-    py_raw = ys + tap_y + offs[..., 0]
-    px_raw = xs + tap_x + offs[..., 1]
+    py_raw = (ys + tap_y + offs[..., 0]).reshape(-1)
+    px_raw = (xs + tap_x + offs[..., 1]).reshape(-1)
+    my = (py_raw > 0) & (py_raw < hp - 1)
+    mx = (px_raw > 0) & (px_raw < wp - 1)
     py = np.clip(py_raw, 0.0, hp - 1.0)
     px = np.clip(px_raw, 0.0, wp - 1.0)
-
-    y0 = np.clip(np.floor(py).astype(np.int64), 0, hp - 2)
-    x0 = np.clip(np.floor(px).astype(np.int64), 0, wp - 2)
+    with np.errstate(invalid="ignore"):  # NaN coordinates give NaN samples
+        y0 = np.clip(np.floor(py).astype(np.int64), 0, hp - 2)
+        x0 = np.clip(np.floor(px).astype(np.int64), 0, wp - 2)
     # int64 corners would promote the weights (and all that follows) to f64
     wy = (py - y0).astype(xd.dtype, copy=False)
     wx = (px - x0).astype(xd.dtype, copy=False)
-    bi = np.arange(bsz)[:, None, None, None, None]
+    i00 = (np.repeat(np.arange(bsz) * hp, h * wdt * k * k) + y0) * wp + x0
 
-    c00 = xp[bi, y0, x0]
-    c01 = xp[bi, y0, x0 + 1]
-    c10 = xp[bi, y0 + 1, x0]
-    c11 = xp[bi, y0 + 1, x0 + 1]
-    wy_ = wy[..., None]
-    wx_ = wx[..., None]
-    samples = ((1 - wy_) * (1 - wx_) * c00 + (1 - wy_) * wx_ * c01
-               + wy_ * (1 - wx_) * c10 + wy_ * wx_ * c11)
+    def sample():
+        """(B*H*W) x (k*k*Cin) bilinear samples, two lerps along x and one
+        along y, with dv/dy and the x-differences of both corner rows."""
+        top, dx0 = _lerp_rows(xf, i00, wx)
+        dvdy, dx1 = _lerp_rows(xf, i00 + wp, wx)
+        dvdy -= top
+        top += wy[:, None] * dvdy
+        return top.reshape(-1, k * k * cin), dvdy, dx0, dx1
 
-    out = np.einsum("bhwklc,klco->bhwo", samples, wd) + _data(b)
+    out = (sample()[0] @ w2 + _data(b)).reshape(bsz, h, wdt, cout)
 
     def vjp(g):
-        gs = np.einsum("bhwo,klco->bhwklc", g, wd)
-        gw = np.einsum("bhwklc,bhwo->klco", samples, g)
-        gb = g.sum(axis=(0, 1, 2))
-
-        gxp = np.zeros_like(xp)
-        np.add.at(gxp, (bi, y0, x0), gs * (1 - wy_) * (1 - wx_))
-        np.add.at(gxp, (bi, y0, x0 + 1), gs * (1 - wy_) * wx_)
-        np.add.at(gxp, (bi, y0 + 1, x0), gs * wy_ * (1 - wx_))
-        np.add.at(gxp, (bi, y0 + 1, x0 + 1), gs * wy_ * wx_)
-        gx = gxp[:, p:p + h, p:p + wdt, :]
-
-        dvdy = (1 - wx_) * (c10 - c00) + wx_ * (c11 - c01)
-        dvdx = (1 - wy_) * (c01 - c00) + wy_ * (c11 - c10)
-        my = ((py_raw > 0) & (py_raw < hp - 1)).astype(xd.dtype)
-        mx = ((px_raw > 0) & (px_raw < wp - 1)).astype(xd.dtype)
+        # corners are gathered again: kept, they would hold five sample-sized
+        # arrays per call until backward
+        g2 = g.reshape(-1, cout)
+        gs = (g2 @ w2.T).reshape(-1, cin)
+        s, dvdy, dx0, dx1 = sample()
+        gw = (s.T @ g2).reshape(wd.shape)
         gpy = (gs * dvdy).sum(axis=-1) * my
-        gpx = (gs * dvdx).sum(axis=-1) * mx
-        goff = np.stack([gpy, gpx], axis=-1).reshape(od.shape)
-        return (gx, gw, gb, goff)
+        a0 = (gs * dx0).sum(axis=-1)  # dv/dx is dx0 lerped toward dx1 by wy
+        gpx = (a0 + wy * ((gs * dx1).sum(axis=-1) - a0)) * mx
+
+        n = bsz * hp * wp
+        gxp = np.zeros((n, cin))
+        for d, cw in ((0, (1 - wy) * (1 - wx)), (1, (1 - wy) * wx),
+                      (wp, wy * (1 - wx)), (wp + 1, wy * wx)):
+            for c in range(cin):  # i00 + d < n: a scatter into rows d..
+                gxp[d:, c] += np.bincount(i00, gs[:, c] * cw, n - d)
+        gx = gxp.astype(wy.dtype).reshape(bsz, hp, wp, cin)[:, p:p + h, p:p + wdt]
+        goff = np.stack([gpy, gpx], axis=-1).reshape(bsz, h, wdt, -1)
+        return (gx, gw, g.sum(axis=(0, 1, 2)), goff)
 
     return _make(out, (x, w, b, offsets), vjp)
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -272,7 +273,10 @@ class TestNonFinite:
 
     def test_fuse_exits_3_without_debug_checks(self, tmp_path, nan_checkpoint,
                                                no_debug_checks, capsys):
-        rc, err = self.fuse(tmp_path, nan_checkpoint, capsys)
+        # NaN flows to the output check silently, with no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc, err = self.fuse(tmp_path, nan_checkpoint, capsys)
         assert rc == EXIT_NUMERIC
         assert "non-finite model output" in err
 

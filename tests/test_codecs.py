@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hdrdeghost.codecs import (CodecError, DatasetError, load_dataset,
                                read_pfm, read_ppm, write_pfm, write_ppm)
@@ -95,6 +96,52 @@ class TestPfm:
         path.write_bytes(b"Pf\n1 1\n-1.0\n" + bytes(4))
         with pytest.raises(CodecError, match="grayscale"):
             read_pfm(path)
+
+    @pytest.mark.parametrize("dims", [b"-1 -2", b"-2 1", b"0 2", b"2 0"])
+    def test_bad_dimensions(self, tmp_path, dims):
+        path = tmp_path / "img.pfm"
+        path.write_bytes(b"PF\n" + dims + b"\n-1.0\n" + bytes(24))
+        with pytest.raises(CodecError, match="bad dimensions"):
+            read_pfm(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    def test_non_finite_or_negative_payload(self, tmp_path, value):
+        path = tmp_path / "img.pfm"
+        write_pfm(path, np.full((1, 2, 3), value))
+        with pytest.raises(CodecError, match="finite and non-negative"):
+            read_pfm(path)
+
+
+@pytest.fixture(scope="module")
+def valid_images(tmp_path_factory):
+    root = tmp_path_factory.mktemp("codec_fuzz")
+    pix = np.random.default_rng(0).uniform(0, 1, size=(2, 3, 3))
+    write_ppm(root / "v.ppm", pix)
+    write_pfm(root / "v.pfm", pix)
+    return root
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_image_decodes_or_raises_codec_error(valid_images, data):
+    ext, reader = data.draw(st.sampled_from([("ppm", read_ppm),
+                                             ("pfm", read_pfm)]), label="codec")
+    blob = (valid_images / f"v.{ext}").read_bytes()
+    if data.draw(st.booleans(), label="truncate"):
+        bad = blob[:data.draw(st.integers(0, len(blob) - 1), label="cut")]
+    else:
+        # most flips land in the payload; the header is drawn on its own
+        at = data.draw(st.one_of(st.integers(0, 12),
+                                 st.integers(0, len(blob) - 1)), label="at")
+        bad = bytearray(blob)
+        bad[at] ^= data.draw(st.integers(1, 255), label="xor")
+    path = valid_images / f"fuzz.{ext}"
+    path.write_bytes(bytes(bad))
+    try:
+        img = reader(path)
+    except CodecError:
+        return
+    assert img.pixels.ndim == 3 and img.pixels.shape[2] == 3
 
 
 def write_sample(root, name, h=4, w=4, stops=(-2, 0, 2), with_gt=True, seed=0):

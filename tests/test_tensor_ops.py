@@ -45,6 +45,21 @@ class TestConv2d:
                     ref[0, y, xx, co] = acc
         np.testing.assert_allclose(out, ref, atol=1e-6)
 
+    def test_weight_gradient_matches_einsum_at_batch_2(self):
+        rng = np.random.default_rng(8)
+        x, w = rng.normal(size=(2, 6, 5, 3)), rng.normal(size=(3, 3, 3, 4))
+        g = rng.normal(size=(2, 6, 5, 4))
+        tape = tc.Tape()
+        wl = tape.leaf(w)
+        gw = tc.backward(tc.sum_(tc.mul(
+            tc.conv2d(tape.leaf(x), wl, dilation=2), c(g))))[wl]
+        xp = np.pad(x, ((0, 0), (2, 2), (2, 2), (0, 0)))
+        patches = np.stack([xp[:, 2 * i:2 * i + 6, 2 * j:2 * j + 5]
+                            for i in range(3) for j in range(3)], axis=3)
+        want = np.einsum("bhwp,bhwo->po", patches.reshape(2, 6, 5, -1), g)
+        np.testing.assert_allclose(gw, want.reshape(w.shape), rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+
     def test_linearity(self):
         rng = np.random.default_rng(4)
         x, y = rng.normal(size=(1, 6, 6, 2)), rng.normal(size=(1, 6, 6, 2))
@@ -62,6 +77,49 @@ class TestConv2d:
     def test_even_kernel_rejected(self):
         with pytest.raises(tc.ShapeError, match="odd"):
             tc.conv2d(c(np.zeros((1, 4, 4, 1))), c(np.zeros((2, 2, 1, 1))))
+
+
+def _deformable_reference(x, w, b, offsets):
+    """The einsum / np.add.at formulation of deformable_conv2d: the output
+    and a vjp returning (gx, gw, gb, goffsets)."""
+    bsz, h, wdt, cin = x.shape
+    k = w.shape[0]
+    p = (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
+    hp, wp = h + 2 * p, wdt + 2 * p
+    offs = offsets.reshape(bsz, h, wdt, k, k, 2)
+    py_raw = (np.arange(h)[None, :, None, None, None]
+              + np.arange(k)[None, None, None, :, None] + offs[..., 0])
+    px_raw = (np.arange(wdt)[None, None, :, None, None]
+              + np.arange(k)[None, None, None, None, :] + offs[..., 1])
+    py = np.clip(py_raw, 0.0, hp - 1.0)
+    px = np.clip(px_raw, 0.0, wp - 1.0)
+    y0 = np.clip(np.floor(py).astype(np.int64), 0, hp - 2)
+    x0 = np.clip(np.floor(px).astype(np.int64), 0, wp - 2)
+    wy, wx = (py - y0)[..., None], (px - x0)[..., None]
+    bi = np.arange(bsz)[:, None, None, None, None]
+    c00, c01 = xp[bi, y0, x0], xp[bi, y0, x0 + 1]
+    c10, c11 = xp[bi, y0 + 1, x0], xp[bi, y0 + 1, x0 + 1]
+    samples = ((1 - wy) * (1 - wx) * c00 + (1 - wy) * wx * c01
+               + wy * (1 - wx) * c10 + wy * wx * c11)
+    out = np.einsum("bhwklc,klco->bhwo", samples, w) + b
+
+    def vjp(g):
+        gs = np.einsum("bhwo,klco->bhwklc", g, w)
+        gw = np.einsum("bhwklc,bhwo->klco", samples, g)
+        gxp = np.zeros_like(xp)
+        np.add.at(gxp, (bi, y0, x0), gs * (1 - wy) * (1 - wx))
+        np.add.at(gxp, (bi, y0, x0 + 1), gs * (1 - wy) * wx)
+        np.add.at(gxp, (bi, y0 + 1, x0), gs * wy * (1 - wx))
+        np.add.at(gxp, (bi, y0 + 1, x0 + 1), gs * wy * wx)
+        dvdy = (1 - wx) * (c10 - c00) + wx * (c11 - c01)
+        dvdx = (1 - wy) * (c01 - c00) + wy * (c11 - c10)
+        gpy = (gs * dvdy).sum(axis=-1) * ((py_raw > 0) & (py_raw < hp - 1))
+        gpx = (gs * dvdx).sum(axis=-1) * ((px_raw > 0) & (px_raw < wp - 1))
+        return (gxp[:, p:p + h, p:p + wdt], gw, g.sum(axis=(0, 1, 2)),
+                np.stack([gpy, gpx], axis=-1).reshape(offsets.shape))
+
+    return out, vjp
 
 
 class TestDeformableConv2d:
@@ -95,6 +153,44 @@ class TestDeformableConv2d:
         d = tc.deformable_conv2d(c(ramp), c(w), c(np.zeros(1)), c(off)).data
         expect = np.minimum(np.arange(6) + 0.5, 5.0)
         np.testing.assert_allclose(d[0, 0, :, 0], expect, atol=1e-12)
+
+    def test_matches_einsum_reference_at_batch_2(self):
+        rng = np.random.default_rng(6)
+        x, w, b = (rng.normal(size=(2, 6, 7, 3)), rng.normal(size=(3, 3, 3, 4)),
+                   rng.normal(size=4))
+        # fractional offsets reaching past both clamp borders of each axis
+        off = rng.uniform(-3.5, 3.5, size=(2, 6, 7, 18))
+        g = rng.normal(size=(2, 6, 7, 4))
+        tape = tc.Tape()
+        leaves = [tape.leaf(a) for a in (x, w, b, off)]
+        out = tc.deformable_conv2d(*leaves)
+        grads = tc.backward(tc.sum_(tc.mul(out, c(g))))
+        ref_out, ref_vjp = _deformable_reference(x, w, b, off)
+        for got, want in zip([out.data] + [grads[leaf] for leaf in leaves],
+                             (ref_out,) + ref_vjp(g)):
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
+
+    def test_vjp_keeps_less_than_one_sample_array(self):
+        rng = np.random.default_rng(7)
+        bsz, h, wdt, cin, k = 2, 8, 8, 8, 3
+        tape = tc.Tape()
+        out = tc.deformable_conv2d(
+            tape.leaf(rng.normal(size=(bsz, h, wdt, cin))),
+            tape.leaf(rng.normal(size=(k, k, cin, 4))),
+            tape.leaf(rng.normal(size=4)),
+            tape.leaf(rng.uniform(-2, 2, size=(bsz, h, wdt, 2 * k * k))))
+        bases, todo = {}, [out.vjp]
+        while todo:  # arrays in the closure, and in closures of functions in it
+            for cell in todo.pop().__closure__ or ():
+                a = cell.cell_contents
+                if callable(a) and hasattr(a, "__closure__"):
+                    todo.append(a)
+                elif isinstance(a, np.ndarray):
+                    while isinstance(a.base, np.ndarray):
+                        a = a.base
+                    bases[id(a)] = a.nbytes
+        assert sum(bases.values()) < bsz * h * wdt * k * k * cin * 8
 
     def test_offset_channel_mismatch(self):
         with pytest.raises(tc.ShapeError, match="offset"):
