@@ -151,10 +151,17 @@ def _load_sample(sample_dir: Path) -> SampleTriplet:
     if len(lines) != 3:
         raise DatasetError(
             f"{sample_dir}: exposures.txt must hold 3 values, got {len(lines)}")
-    stops = [float(v) for v in lines]
-    times = [2.0 ** e for e in stops]
+    times = []
+    for v in lines:
+        try:
+            times.append(2.0 ** float(v))
+        except (ValueError, OverflowError):  # not a number, or 2**v overflows
+            times.append(0.0)
+        if not 0.0 < times[-1] < np.inf:
+            raise DatasetError(
+                f"{sample_dir}: exposure stop {v!r} gives no finite positive time")
     if len(set(times)) != 3:
-        raise DatasetError(f"{sample_dir}: duplicate exposure values {stops}")
+        raise DatasetError(f"{sample_dir}: duplicate exposure values {lines}")
 
     ldrs = [read_ppm(p) for p in paths]
     order = np.argsort(times)

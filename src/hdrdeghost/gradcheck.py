@@ -22,7 +22,8 @@ FD_STEP = 1e-4
 
 def rel_error(analytic, numeric):
     # denominator floored so exactly-cancelling gradients (e.g. an attention
-    # key bias, which softmax normalizes away) compare at FD noise level
+    # key bias, which window_attention's row normalization cancels) compare
+    # at FD noise level
     denom = max(float(np.abs(numeric).max()), 1e-3)
     return float(np.abs(analytic - numeric).max() / denom)
 
@@ -78,13 +79,13 @@ def _op_checks(rng):
     checks["layer_norm"] = (
         lambda x, g, bt: s3(tc.layer_norm(x, g, bt)),
         [xx, rng.normal(size=5), rng.normal(size=5)])
-    checks["softmax"] = (lambda x: s3(tc.softmax(x)), [xx])
     s4 = _weighted(rng, (4, 3))
     checks["linear"] = (lambda x, w, b: s4(tc.linear(x, w, b)),
                         [xx, rng.normal(size=(5, 3)), rng.normal(size=3)])
-    s5 = _weighted(rng, (2, 3, 3))
-    checks["matmul"] = (lambda a, b2: s5(tc.matmul(a, b2)),
-                        [rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 4, 3))])
+    s5 = _weighted(rng, (2, 3, 4))  # 2 windows, 3 tokens, 2 heads of 2
+    checks["window_attention"] = (
+        lambda q, k, v: s5(tc.window_attention(q, k, v, 2)),
+        [rng.normal(size=(2, 3, 4)) for _ in range(3)])
     checks["sigmoid"] = (lambda x: tc.sum_(tc.sigmoid(x)), [xx])
     checks["leaky_relu"] = (lambda x: tc.sum_(tc.leaky_relu(x)), [xx])
     checks["log"] = (
@@ -100,10 +101,27 @@ def _op_checks(rng):
     checks["concat_narrow"] = (
         lambda a, b2: s8(tc.concat([tc.narrow(a, 0, 0, 1), b2], axis=0)),
         [rng.normal(size=(2, 6, 6, 2)), rng.normal(size=(1, 6, 6, 2))])
-    target = rng.uniform(0, 1, size=(2, 4, 4, 3))
+    xl = rng.normal(size=(2, 4, 4, 3))
+    out = 1.0 / (1.0 + np.exp(-xl))
+    # each target 0.05-0.3 from its output: the L1 loss has a kink where
+    # they meet, which central differences cannot straddle
+    gap = rng.uniform(0.05, 0.3, size=out.shape)
+    target = np.where(out < 0.5, out + gap, out - gap)
     checks["loss"] = (
-        lambda x: l1_tonemapped_loss(tc.sigmoid(x), target),
-        [rng.normal(size=(2, 4, 4, 3))])
+        lambda x: l1_tonemapped_loss(tc.sigmoid(x), target), [xl])
+    # window_attention's two stages on their own, 2 windows, 3 tokens, 2
+    # heads of 3: one-hot values read the probability map of the scores
+    # out; fixed queries and keys leave the probabilities' product with v
+    s9 = _weighted(rng, (2, 3, 6))
+    onehot = np.tile(np.eye(3), (2, 1, 2))
+    checks["softmax"] = (
+        lambda q, k: s9(tc.window_attention(q, k, onehot, 2)),
+        [rng.normal(size=(2, 3, 6)) for _ in range(2)])
+    s10 = _weighted(rng, (2, 3, 6))
+    qc, kc = rng.normal(size=(2, 2, 3, 6))
+    checks["matmul"] = (
+        lambda v: s10(tc.window_attention(qc, kc, v, 2)),
+        [rng.normal(size=(2, 3, 6))])
     return checks
 
 

@@ -30,10 +30,6 @@ def spatial_attention(f_i, f_ref, p, which):
                                 p[f"head.att{which}.conv2.b"]))
 
 
-def apply_attention(f_i, m_i):
-    return tc.mul(f_i, m_i)
-
-
 def sar(f_ref, m_short, m_long, enabled=True):
     """Average of the reference feature gated by both non-reference maps.
 
@@ -52,7 +48,7 @@ def head_forward(inputs, p, cfg):
     f3 = extract_shallow(inputs[2], p)
     m1 = spatial_attention(f1, f2, p, 1)
     m3 = spatial_attention(f3, f2, p, 3)
-    fm1 = apply_attention(f1, m1)
-    fm3 = apply_attention(f3, m3)
+    fm1 = tc.mul(f1, m1)
+    fm3 = tc.mul(f3, m3)
     fm2 = sar(f2, m1, m3, enabled=cfg.sar)
     return tc.concat([fm1, fm2, fm3, f2], axis=3)

@@ -196,23 +196,10 @@ def window_reverse(tokens, window, shift, info):
 
 def msa(tokens, p, pre, cfg):
     """Multi-head scaled dot-product attention within each window."""
-    bw, t, d = tokens.shape
-    h = cfg.heads
-    hd = d // h
-    scale = 1.0 / np.sqrt(hd)
-
-    def split_heads(x):
-        x = tc.reshape(x, (bw, t, h, hd))
-        return tc.transpose(x, (0, 2, 1, 3))
-
-    q = split_heads(tc.linear(tokens, p[f"{pre}.msa.q.w"], p[f"{pre}.msa.q.b"]))
-    k = split_heads(tc.linear(tokens, p[f"{pre}.msa.k.w"], p[f"{pre}.msa.k.b"]))
-    v = split_heads(tc.linear(tokens, p[f"{pre}.msa.v.w"], p[f"{pre}.msa.v.b"]))
-    attn = tc.softmax(tc.mul_scalar(tc.matmul(q, tc.transpose(k, (0, 1, 3, 2))),
-                                    scale), axis=-1)
-    out = tc.transpose(tc.matmul(attn, v), (0, 2, 1, 3))
-    out = tc.reshape(out, (bw, t, d))
-    return tc.linear(out, p[f"{pre}.msa.o.w"], p[f"{pre}.msa.o.b"])
+    q, k, v = (tc.linear(tokens, p[f"{pre}.msa.{n}.w"], p[f"{pre}.msa.{n}.b"])
+               for n in "qkv")
+    return tc.linear(tc.window_attention(q, k, v, cfg.heads),
+                     p[f"{pre}.msa.o.w"], p[f"{pre}.msa.o.b"])
 
 
 def global_branch(x, p, pre, cfg, shift):

@@ -227,35 +227,15 @@ def leaky_relu(x):
 # ---------------------------------------------------------------------------
 # reductions
 
-def sum_(x, axis=None, keepdims=False):
+def sum_(x):
     xd = _data(x)
-
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, xd.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, xd.shape).copy(),)
-
-    return _make(xd.sum(axis=axis, keepdims=keepdims), (x,), vjp)
+    return _make(xd.sum(), (x,), lambda g: (np.broadcast_to(g, xd.shape).copy(),))
 
 
-def mean(x, axis=None, keepdims=False):
+def mean(x):
     xd = _data(x)
-    if axis is None:
-        n = xd.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        n = 1
-        for a in axes:
-            n *= xd.shape[a]
-
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g / n, xd.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg / n, xd.shape).copy(),)
-
-    return _make(xd.mean(axis=axis, keepdims=keepdims), (x,), vjp)
+    return _make(xd.mean(), (x,),
+                 lambda g: (np.broadcast_to(g / xd.size, xd.shape).copy(),))
 
 
 def global_avg_pool(x):
@@ -344,21 +324,6 @@ def pad2d(x, pads):
 # ---------------------------------------------------------------------------
 # linear algebra
 
-def matmul(a, b):
-    ad, bd = _data(a), _data(b)
-    if ad.shape[-1] != bd.shape[-2]:
-        raise ShapeError(
-            f"matmul inner dims differ: {ad.shape[-1]} vs {bd.shape[-2]}")
-    if ad.shape[:-2] != bd.shape[:-2]:
-        raise ShapeError(
-            f"matmul leading dims differ: {ad.shape[:-2]} vs {bd.shape[:-2]}")
-
-    def vjp(g):
-        return (g @ np.swapaxes(bd, -1, -2), np.swapaxes(ad, -1, -2) @ g)
-
-    return _make(ad @ bd, (a, b), vjp)
-
-
 def linear(x, w, b):
     """Affine map on the last axis: x @ w + b."""
     xd, wd = _data(x), _data(w)
@@ -401,16 +366,41 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     return _make(out, (x, gamma, beta), vjp)
 
 
-def softmax(x, axis=-1):
-    xd = _data(x)
-    m = xd.max(axis=axis, keepdims=True)
-    e = np.exp(xd - m)
-    y = e / e.sum(axis=axis, keepdims=True)
+def window_attention(q, k, v, heads):
+    """Multi-head scaled dot-product attention over the token axis of
+    windows x tokens x D inputs. Heads are split from and merged back into
+    the last axis; the backward keeps q, k, v and the probabilities."""
+    qd, kd, vd = _data(q), _data(k), _data(v)
+    if qd.ndim != 3 or not qd.shape == kd.shape == vd.shape:
+        raise ShapeError(f"window_attention needs three equal windows x tokens"
+                         f" x D shapes, got {qd.shape}, {kd.shape}, {vd.shape}")
+    bw, t, d = qd.shape
+    if d % heads:
+        raise ShapeError(f"window_attention dim {d} not divisible by {heads} heads")
+    hd = d // heads
+    scale = float(1.0 / np.sqrt(hd))  # an np.float64 would promote f32 math
+
+    def split(x):
+        return np.transpose(x.reshape(bw, t, heads, hd), (0, 2, 1, 3))
+
+    def merge(x):
+        return np.transpose(x, (0, 2, 1, 3)).reshape(bw, t, d)
+
+    qh, kh, vh = split(qd), split(kd), split(vd)
+    y = qh @ np.swapaxes(kh, -1, -2)  # scores, then probabilities, in place
+    y *= scale
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        return (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
+        go = split(g)
+        ga = go @ np.swapaxes(vh, -1, -2)
+        gs = y * (ga - (ga * y).sum(axis=-1, keepdims=True)) * scale
+        gk = np.swapaxes(np.swapaxes(qh, -1, -2) @ gs, -1, -2)
+        return merge(gs @ kh), merge(gk), merge(np.swapaxes(y, -1, -2) @ go)
 
-    return _make(y, (x,), vjp)
+    return _make(merge(y @ vh), (q, k, v), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,15 @@ TINY_CONF = "\n".join([
 ]) + "\n"
 
 
+def _run_cli(argv):
+    """``python -m hdrdeghost.cli argv`` in a fresh process."""
+    src = str(Path(hdrdeghost.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "hdrdeghost.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 @pytest.fixture()
 def checkpoint(tmp_path):
     cfg = tiny_preset()
@@ -233,6 +242,14 @@ class TestEval:
                    "--checkpoint", str(checkpoint)])
         assert rc == EXIT_IO
 
+    def test_overflowing_exposure_stop_exits_1(self, tmp_path, checkpoint):
+        write_sample(tmp_path / "data", "s0", h=16, w=16, stops=(0, 2000, 2))
+        proc = _run_cli(["eval", "--data", str(tmp_path / "data"),
+                         "--checkpoint", str(checkpoint)])
+        assert proc.returncode == EXIT_IO
+        assert "error: " in proc.stderr and "'2000'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestNonFinite:
     @pytest.fixture()
@@ -319,12 +336,7 @@ class TestInspect:
 def test_module_entry_point_exits_2_without_traceback(tmp_path):
     bad = _saved_with_manifest(tmp_path / "bad.hdck",
                                MALFORMED_MANIFESTS["extra_config_key"])
-    src = str(Path(hdrdeghost.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "hdrdeghost.cli", "inspect", "--checkpoint",
-         str(bad)], env=env, capture_output=True, text=True, timeout=120)
+    proc = _run_cli(["inspect", "--checkpoint", str(bad)])
     assert proc.returncode == EXIT_CONFIG
     assert "error: malformed checkpoint" in proc.stderr
     assert "Traceback" not in proc.stderr

@@ -179,6 +179,12 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="duplicate"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("stop", ["abc", "nan", "inf", "-2000", "2000"])
+    def test_bad_exposure_stop_rejected(self, tmp_path, stop):
+        write_sample(tmp_path, "s0", stops=(-2, stop, 2))
+        with pytest.raises(DatasetError, match=f"s0: exposure stop '{stop}'"):
+            load_dataset(tmp_path)
+
     def test_missing_ldr_rejected(self, tmp_path):
         d = write_sample(tmp_path, "s0")
         (d / "ldr_1.ppm").unlink()

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from hdrdeghost import tensor as tc
-from hdrdeghost.head import (apply_attention, extract_shallow, head_forward,
-                             sar, spatial_attention)
+from hdrdeghost.head import extract_shallow, head_forward, sar, spatial_attention
 from hdrdeghost.model import init_params, tiny_preset
 
 
@@ -79,25 +78,27 @@ class TestSpatialAttention:
 
 
 class TestGating:
+    """head_forward gates each non-reference feature by tc.mul with its map."""
+
     def setup_method(self):
         rng = np.random.default_rng(7)
         self.f = tc.constant(rng.normal(size=(1, 5, 5, 4)))
         self.m = tc.constant(rng.uniform(0, 1, size=(1, 5, 5, 4)))
 
     def test_unit_map_is_identity(self):
-        out = apply_attention(self.f, tc.constant(np.ones((1, 5, 5, 4))))
+        out = tc.mul(self.f, tc.constant(np.ones((1, 5, 5, 4))))
         np.testing.assert_array_equal(out.data, self.f.data)
 
     def test_zero_map_gives_zeros(self):
-        out = apply_attention(self.f, tc.constant(np.zeros((1, 5, 5, 4))))
+        out = tc.mul(self.f, tc.constant(np.zeros((1, 5, 5, 4))))
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_elementwise_product_oracle(self):
-        out = apply_attention(self.f, self.m).data
+        out = tc.mul(self.f, self.m).data
         np.testing.assert_array_equal(out, self.f.data * self.m.data)
 
     def test_gated_never_larger_in_magnitude(self):
-        out = apply_attention(self.f, self.m).data
+        out = tc.mul(self.f, self.m).data
         assert np.all(np.abs(out) <= np.abs(self.f.data))
 
 

@@ -222,25 +222,112 @@ class TestLayerNorm:
         np.testing.assert_allclose(a, bb, atol=1e-3)
 
 
-class TestSoftmax:
-    def test_symmetry(self):
-        np.testing.assert_allclose(tc.softmax(c([0.0, 0.0])).data, [0.5, 0.5])
+def _attention_chain(q, k, v, heads):
+    """The matmul / mul_scalar / softmax / matmul chain, with its head split
+    and merge, that window_attention replaced: the output and a vjp
+    returning (gq, gk, gv), each step as its kernel computed it."""
+    bw, t, d = q.shape
+    hd = d // heads
+    scale = float(1.0 / np.sqrt(hd))
+
+    def split(x):  # reshape, transpose
+        return np.transpose(x.reshape(bw, t, heads, hd), (0, 2, 1, 3))
+
+    def merge(x):  # transpose, reshape
+        return np.transpose(x, (0, 2, 1, 3)).reshape(bw, t, d)
+
+    qh, kh, vh = split(q), split(k), split(v)
+    kt = np.transpose(kh, (0, 1, 3, 2))
+    s = (qh @ kt) * scale
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+
+    def vjp(g):
+        go = split(g)
+        gy = go @ np.swapaxes(vh, -1, -2)
+        gv = np.swapaxes(y, -1, -2) @ go
+        gs = y * (gy - (gy * y).sum(axis=-1, keepdims=True))
+        gs = gs * scale
+        gq = gs @ np.swapaxes(kt, -1, -2)
+        gk = np.transpose(np.swapaxes(qh, -1, -2) @ gs, (0, 1, 3, 2))
+        return merge(gq), merge(gk), merge(gv)
+
+    return merge(y @ vh), vjp
+
+
+class TestWindowAttention:
+    @pytest.mark.parametrize("heads", [2, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_the_chain(self, heads, dtype):
+        rng = np.random.default_rng(16)
+        q, k, v, g = (rng.normal(size=(3, 4, 6)).astype(dtype) for _ in range(4))
+        tape = tc.Tape()
+        leaves = [tape.leaf(a) for a in (q, k, v)]
+        out = tc.window_attention(*leaves, heads)
+        grads = tc.backward(tc.sum_(tc.mul(out, tc.constant(g))))
+        ref_out, ref_vjp = _attention_chain(q, k, v, heads)
+        for got, want in zip([out.data] + [grads[leaf] for leaf in leaves],
+                             (ref_out,) + ref_vjp(g)):
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, want)
 
     def test_large_values_no_overflow(self):
-        out = tc.softmax(c([3.0, 1003.0])).data
+        # one head over two tokens: both queries score the keys 3 and 1003
+        q = c(np.ones((1, 2, 1)))
+        k = c([[[3.0], [1003.0]]])
+        v = c([[[5.0], [7.0]]])
+        out = tc.window_attention(q, k, v, 1).data
         assert np.all(np.isfinite(out))
-        np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-6)
+        np.testing.assert_allclose(out, 7.0, atol=1e-6)
 
     def test_rows_sum_to_one(self):
-        x = np.random.default_rng(8).normal(size=(7, 9))
-        out = tc.softmax(c(x)).data
-        np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-6)
+        # one-hot values read each head's probability rows out
+        rng = np.random.default_rng(17)
+        q, k = rng.normal(size=(2, 2, 5, 10))
+        v = np.tile(np.eye(5), (2, 1, 2))
+        out = tc.window_attention(c(q), c(k), c(v), 2).data.reshape(2, 5, 2, 5)
+        assert np.all(out >= 0.0)
+        np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_shift_invariance(self):
-        x = np.random.default_rng(9).normal(size=(3, 5))
-        a = tc.softmax(c(x)).data
-        b = tc.softmax(c(x + 13.0)).data
-        np.testing.assert_allclose(a, b, atol=1e-6)
+        # a vector added to every key shifts each score row by a constant
+        rng = np.random.default_rng(18)
+        q, k, v = rng.normal(size=(3, 2, 4, 6))
+        shift = 13.0 * rng.normal(size=6)
+        a = tc.window_attention(c(q), c(k), c(v), 2).data
+        b = tc.window_attention(c(q), c(k + shift), c(v), 2).data
+        np.testing.assert_allclose(a, b, atol=1e-12)
+
+    def test_symmetry(self):
+        # all-equal scores average the values over the window
+        rng = np.random.default_rng(19)
+        q, v = rng.normal(size=(2, 2, 4, 6))
+        out = tc.window_attention(c(q), c(np.zeros((2, 4, 6))), c(v), 3).data
+        np.testing.assert_allclose(out, np.broadcast_to(
+            v.mean(axis=1, keepdims=True), v.shape), atol=1e-12)
+
+    def test_vjp_keeps_one_attention_map(self):
+        bw, heads, t = 3, 2, 4
+        tape = tc.Tape()
+        rng = np.random.default_rng(20)
+        out = tc.window_attention(
+            *(tape.leaf(rng.normal(size=(bw, t, 6))) for _ in range(3)), heads)
+        arrays, todo = {}, [out.vjp]
+        while todo:  # arrays in the closure, and in closures of functions in it
+            for cell in todo.pop().__closure__ or ():
+                a = cell.cell_contents
+                if callable(a) and hasattr(a, "__closure__"):
+                    todo.append(a)
+                elif isinstance(a, np.ndarray):
+                    arrays[id(a)] = a.shape
+        assert list(arrays.values()).count((bw, heads, t, t)) == 1
+
+    def test_shape_mismatch(self):
+        with pytest.raises(tc.ShapeError, match="equal"):
+            tc.window_attention(c(np.zeros((2, 4, 6))), c(np.zeros((2, 4, 6))),
+                                c(np.zeros((2, 5, 6))), 2)
+        with pytest.raises(tc.ShapeError, match="divisible"):
+            tc.window_attention(*(c(np.zeros((2, 4, 6))) for _ in range(3)), 4)
 
 
 class TestLinear:
@@ -328,8 +415,21 @@ def test_kernels_are_pure():
     np.testing.assert_array_equal(s, tc.sigmoid(c(x)).data)
 
 
+def _dtype(x):
+    return (x.data if isinstance(x, tc.Tensor) else x).dtype
+
+
+def _onehot_values(q):
+    # 3 windows, 4 tokens, 2 heads of 4: each head reads its own
+    # probability rows out, so the output is the probability map itself
+    return np.tile(np.eye(4, dtype=_dtype(q)), (3, 1, 2))
+
+
 # every kernel once: name -> (build from input tensors, input shapes); inputs
-# are drawn from [0.5, 1.5], inside every kernel's domain (log, clip)
+# are drawn from [0.5, 1.5], inside every kernel's domain (log, clip).
+# "softmax" and "matmul" are window_attention's two stages on their own: the
+# probability map of the scores (one-hot values), and the fixed, here
+# uniform, probabilities' product with the values (zero queries and keys)
 KERNEL_CASES = {
     "add": (tc.add, [(2, 3), (3,)]),
     "sub": (tc.sub, [(2, 3), (2, 1)]),
@@ -341,8 +441,8 @@ KERNEL_CASES = {
     "clip": (lambda x: tc.clip(x, 0.0, 1.0), [(2, 3)]),
     "sigmoid": (tc.sigmoid, [(2, 3)]),
     "leaky_relu": (tc.leaky_relu, [(2, 3)]),
-    "sum_": (lambda x: tc.sum_(x, axis=1), [(2, 3)]),
-    "mean": (lambda x: tc.mean(x, axis=(0, 1)), [(2, 3, 4)]),
+    "sum_": (tc.sum_, [(2, 3)]),
+    "mean": (tc.mean, [(2, 3, 4)]),
     "global_avg_pool": (tc.global_avg_pool, [(1, 3, 4, 2)]),
     "reshape": (lambda x: tc.reshape(x, (3, 2)), [(2, 3)]),
     "transpose": (lambda x: tc.transpose(x, (1, 0)), [(2, 3)]),
@@ -350,16 +450,22 @@ KERNEL_CASES = {
     "concat": (lambda a, b: tc.concat([a, b], axis=1), [(2, 3), (2, 1)]),
     "narrow": (lambda x: tc.narrow(x, 1, 1, 2), [(2, 3)]),
     "pad2d/reflect": (lambda x: tc.pad2d(x, (1, 2, 2, 1)), [(1, 3, 4, 2)]),
-    "matmul": (tc.matmul, [(2, 3, 4), (2, 4, 5)]),
     "linear": (tc.linear, [(2, 3, 4), (4, 5), (5,)]),
     "layer_norm": (tc.layer_norm, [(2, 4), (4,), (4,)]),
-    "softmax": (tc.softmax, [(2, 3)]),
+    "window_attention": (lambda q, k, v: tc.window_attention(q, k, v, 2),
+                         [(3, 4, 6)] * 3),
+    "softmax": (lambda q, k: tc.window_attention(q, k, _onehot_values(q), 2),
+                [(3, 4, 8)] * 2),
+    "matmul": (lambda v: tc.window_attention(np.zeros(v.shape, _dtype(v)),
+                                             np.zeros(v.shape, _dtype(v)), v, 2),
+               [(3, 4, 6)]),
     "conv2d": (lambda x, w, b: tc.conv2d(x, w, b, dilation=2),
                [(1, 5, 5, 2), (3, 3, 2, 3), (3,)]),
     "deformable_conv2d": (tc.deformable_conv2d,
                           [(1, 5, 5, 2), (3, 3, 2, 3), (3,), (1, 5, 5, 18)]),
 }
 NOT_KERNELS = {"backward", "constant", "finite_difference_grad"}
+STAGE_OF = {"softmax": "window_attention", "matmul": "window_attention"}
 
 
 def _case_inputs(name, dtype):
@@ -372,7 +478,8 @@ def test_kernel_cases_cover_every_kernel():
     public = {n for n, f in vars(tc).items() if callable(f)
               and getattr(f, "__module__", None) == tc.__name__
               and not n.startswith("_") and not isinstance(f, type)}
-    assert {k.split("/")[0] for k in KERNEL_CASES} == public - NOT_KERNELS
+    assert ({STAGE_OF.get(k, k.split("/")[0]) for k in KERNEL_CASES}
+            == public - NOT_KERNELS)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
