@@ -94,13 +94,16 @@ def _op_checks(rng):
         lambda a, b2: tc.sum_(tc.mul(tc.add(a, b2), b2)), [xx, rng.normal(size=(4, 5))])
     s6 = _weighted(rng, (2, 2))
     checks["global_avg_pool"] = (lambda x: s6(tc.global_avg_pool(x)), [x])
-    s7 = _weighted(rng, (2, 10, 9, 2))
-    checks["pad_reflect"] = (
-        lambda x: s7(tc.pad2d(x, (2, 2, 1, 2))), [x])
+    # the 36 pixels of a 6 x 6 grid reflect-padded to 10 x 9: 90 rows, with
+    # repeats, as a padded window layout reads them
+    s7 = _weighted(rng, (2, 90, 2))
+    rows = np.pad(np.arange(36).reshape(6, 6), ((2, 2), (1, 2)),
+                  mode="reflect").ravel()
+    checks["take"] = (lambda x: s7(tc.take(x, rows)), [x.reshape(2, 36, 2)])
     s8 = _weighted(rng, (2, 6, 6, 2))
-    checks["concat_narrow"] = (
-        lambda a, b2: s8(tc.concat([tc.narrow(a, 0, 0, 1), b2], axis=0)),
-        [rng.normal(size=(2, 6, 6, 2)), rng.normal(size=(1, 6, 6, 2))])
+    checks["concat"] = (
+        lambda a, b2: s8(tc.concat([a, b2], axis=0)),
+        [rng.normal(size=(2, 6, 6, 2))[:1], rng.normal(size=(1, 6, 6, 2))])
     xl = rng.normal(size=(2, 4, 4, 3))
     out = 1.0 / (1.0 + np.exp(-xl))
     # each target 0.05-0.3 from its output: the L1 loss has a kink where

@@ -154,41 +154,40 @@ def param_manifest(params: dict):
 # ---------------------------------------------------------------------------
 # window tokenization
 
+def _window_index(h, w, window, shift):
+    """The window layout of an h x w grid as two flat index arrays.
+
+    The pixel grid is reflect-padded to window multiples, rolled by
+    ``-shift`` and ordered window by window. ``read`` is the pixel each
+    token reads; ``back`` is, for each pixel, the token at the pixel's own
+    slot in the padded grid (not at one of its reflected copies)."""
+    pixel = np.pad(np.arange(h * w).reshape(h, w),
+                   ((0, -h % window), (0, -w % window)), mode="reflect")
+    hp, wp = pixel.shape
+    slot = np.roll(np.arange(hp * wp).reshape(hp, wp), -shift, axis=(0, 1))
+    slot = slot.reshape(hp // window, window, wp // window, window)
+    slot = slot.transpose(0, 2, 1, 3).ravel()  # token -> its padded slot
+    token = np.argsort(slot).reshape(hp, wp)   # padded slot -> its token
+    return pixel.ravel()[slot], token[:h, :w].ravel()
+
+
 def window_partition(x, window, shift=0):
-    """BHWC grid -> (B*nW) x window^2 x D window tokens.
-
-    Pads H and W up to window multiples with reflect padding and applies a
-    cyclic roll of ``shift`` pixels first. Returns the tokens plus the info
-    needed by window_reverse.
-    """
+    """BHWC grid -> (B*nW) x window^2 x D window tokens, as one gather of
+    ``_window_index``'s read index: reflect padding of H and W up to window
+    multiples, then a cyclic roll of ``shift`` pixels. Returns the tokens
+    plus the info window_reverse needs."""
     b, h, w, d = x.shape
-    ph = (-h) % window
-    pw = (-w) % window
-    if ph or pw:
-        x = tc.pad2d(x, (0, ph, 0, pw))
-    hp, wp = h + ph, w + pw
-    if shift:
-        x = tc.roll2d(x, -shift, -shift)
-    nh, nw = hp // window, wp // window
-    x = tc.reshape(x, (b, nh, window, nw, window, d))
-    x = tc.transpose(x, (0, 1, 3, 2, 4, 5))
-    tokens = tc.reshape(x, (b * nh * nw, window * window, d))
-    return tokens, (b, h, w, hp, wp)
+    read, back = _window_index(h, w, window, shift)
+    tokens = tc.take(tc.reshape(x, (b, h * w, d)), read)
+    return tc.reshape(tokens, (-1, window * window, d)), (b, h, w, back)
 
 
-def window_reverse(tokens, window, shift, info):
-    """Inverse of window_partition (bit-exact round trip)."""
-    b, h, w, hp, wp = info
-    nh, nw = hp // window, wp // window
-    d = tokens.shape[-1]
-    x = tc.reshape(tokens, (b, nh, nw, window, window, d))
-    x = tc.transpose(x, (0, 1, 3, 2, 4, 5))
-    x = tc.reshape(x, (b, hp, wp, d))
-    if shift:
-        x = tc.roll2d(x, shift, shift)
-    if hp != h or wp != w:
-        x = tc.narrow(tc.narrow(x, 1, 0, h), 2, 0, w)
-    return x
+def window_reverse(tokens, info):
+    """Inverse of window_partition (bit-exact round trip): each pixel reads
+    its own token back; tokens of reflected copies are not read."""
+    b, h, w, back = info
+    x = tc.take(tc.reshape(tokens, (b, -1, tokens.shape[-1])), back)
+    return tc.reshape(x, (b, h, w, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +205,7 @@ def global_branch(x, p, pre, cfg, shift):
     """Window MSA and MLP, each behind a LayerNorm with a residual."""
     tokens, info = window_partition(
         tc.layer_norm(x, p[f"{pre}.ln1.g"], p[f"{pre}.ln1.b"]), cfg.window, shift)
-    em1 = tc.add(window_reverse(msa(tokens, p, pre, cfg), cfg.window, shift, info), x)
+    em1 = tc.add(window_reverse(msa(tokens, p, pre, cfg), info), x)
     z = tc.layer_norm(em1, p[f"{pre}.ln2.g"], p[f"{pre}.ln2.b"])
     z = tc.linear(z, p[f"{pre}.mlp.fc1.w"], p[f"{pre}.mlp.fc1.b"])
     z = tc.leaky_relu(z)

@@ -3,7 +3,7 @@
 Canonical image layout is batch x height x width x channels (BHWC). All
 kernels are pure: the same inputs always produce bit-identical outputs.
 Set HDT_DEBUG_CHECKS=1 to assert finiteness after every kernel; a failure
-names the kernel.
+names the kernel and, on a taped run, the first named leaf among its inputs.
 """
 from __future__ import annotations
 
@@ -85,7 +85,9 @@ def _tape(*xs):
 def _make(data, parents, vjp):
     if DEBUG_CHECKS and not np.all(np.isfinite(data)):
         kernel = vjp.__qualname__.split(".")[0]  # vjps are local to their kernel
-        raise FloatingPointError(f"non-finite values in {kernel} output")
+        leaf = next((p.name for p in parents if getattr(p, "name", None)), None)
+        where = f" ({leaf})" if leaf else ""
+        raise FloatingPointError(f"non-finite values in {kernel} output{where}")
     tape = _tape(*parents)
     if tape is None:
         return Tensor(data)
@@ -259,21 +261,6 @@ def reshape(x, shape):
     return _make(xd.reshape(shape), (x,), lambda g: (g.reshape(xd.shape),))
 
 
-def transpose(x, axes):
-    xd = _data(x)
-    inv = np.argsort(axes)
-    return _make(np.transpose(xd, axes), (x,),
-                 lambda g: (np.transpose(g, inv),))
-
-
-def roll2d(x, shift_y, shift_x):
-    """Cyclic roll over the spatial axes of a BHWC tensor."""
-    xd = _data(x)
-    out = np.roll(xd, (shift_y, shift_x), axis=(1, 2))
-    return _make(out, (x,),
-                 lambda g: (np.roll(g, (-shift_y, -shift_x), axis=(1, 2)),))
-
-
 def concat(xs, axis):
     datas = [_data(x) for x in xs]
     sizes = [d.shape[axis] for d in datas]
@@ -286,39 +273,23 @@ def concat(xs, axis):
     return _make(np.concatenate(datas, axis=axis), tuple(xs), vjp)
 
 
-def narrow(x, axis, start, length):
+def take(x, idx):
+    """Rows ``idx`` of axis 1 of a B x N x D tensor; rows may repeat."""
     xd = _data(x)
-    idx = [slice(None)] * xd.ndim
-    idx[axis] = slice(start, start + length)
-    idx = tuple(idx)
+    if xd.ndim != 3:
+        raise ShapeError(f"take expects B x N x D, got ndim {xd.ndim}")
 
     def vjp(g):
+        # one assignment for each row's first occurrence; only the repeats
+        # (a padded grid's reflected copies) go through np.add.at
         gx = np.zeros_like(xd)
-        gx[idx] = g
+        rows, first = np.unique(idx, return_index=True)
+        gx[:, rows] = g[:, first]
+        rest = np.delete(np.arange(len(idx)), first)
+        np.add.at(gx, (slice(None), idx[rest]), g[:, rest])
         return (gx,)
 
-    return _make(xd[idx].copy(), (x,), vjp)
-
-
-def pad2d(x, pads):
-    """Reflect-pad the spatial axes of a BHWC tensor.
-
-    pads = (top, bottom, left, right)."""
-    pt, pb, pl, pr = pads
-    xd = _data(x)
-    _, h, w, _ = xd.shape
-    idx_h = np.pad(np.arange(h), (pt, pb), mode="reflect")
-    idx_w = np.pad(np.arange(w), (pl, pr), mode="reflect")
-    out = xd[:, idx_h][:, :, idx_w]
-
-    def vjp(g):
-        tmp = np.zeros((xd.shape[0], h, g.shape[2], xd.shape[3]), dtype=g.dtype)
-        np.add.at(tmp, (slice(None), idx_h), g)
-        gx = np.zeros_like(xd)
-        np.add.at(gx, (slice(None), slice(None), idx_w), tmp)
-        return (gx,)
-
-    return _make(out, (x,), vjp)
+    return _make(xd[:, idx], (x,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +310,7 @@ def linear(x, w, b):
     return _make(xd @ wd + _data(b), (x, w, b), vjp)
 
 
-def layer_norm(x, gamma, beta, eps=1e-5):
+def layer_norm(x, gamma, beta):
     """Normalize over the last axis to zero mean / unit variance, then affine."""
     xd, gd, bd = _data(x), _data(gamma), _data(beta)
     if gd.shape != (xd.shape[-1],) or bd.shape != (xd.shape[-1],):
@@ -348,7 +319,7 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     mu = xd.mean(axis=-1, keepdims=True)
     xc = xd - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv
     out = gd * xhat + bd
     n = xd.shape[-1]
@@ -406,7 +377,7 @@ def window_attention(q, k, v, heads):
 # ---------------------------------------------------------------------------
 # convolutions
 
-def conv2d(x, w, b=None, dilation=1):
+def conv2d(x, w, b, dilation=1):
     """Same-size, stride-1 2-D cross-correlation on BHWC input with a
     k x k x Cin x Cout kernel, zero-padded by dilation * (k - 1) / 2."""
     xd, wd = _data(x), _data(w)
@@ -422,7 +393,7 @@ def conv2d(x, w, b=None, dilation=1):
             f"input channels {xd.shape[3]} != kernel Cin {wd.shape[2]}")
     bsz, h, wdt, cin = xd.shape
     cout = wd.shape[3]
-    if b is not None and _data(b).shape != (cout,):
+    if _data(b).shape != (cout,):
         raise ShapeError(f"bias must have shape ({cout},)")
 
     p = dilation * (k - 1) // 2
@@ -434,9 +405,7 @@ def conv2d(x, w, b=None, dilation=1):
             y0, x0 = ki * dilation, kj * dilation
             patches[:, :, :, ki, kj, :] = xp[:, y0:y0 + h, x0:x0 + wdt, :]
     p2 = patches.reshape(bsz, h, wdt, k * k * cin)
-    out = p2 @ wd.reshape(k * k * cin, cout)
-    if b is not None:
-        out = out + _data(b)
+    out = p2 @ wd.reshape(k * k * cin, cout) + _data(b)
 
     def vjp(g):
         gw = (p2.reshape(-1, k * k * cin).T @ g.reshape(-1, cout)).reshape(wd.shape)
@@ -446,13 +415,9 @@ def conv2d(x, w, b=None, dilation=1):
             for kj in range(k):
                 y0, x0 = ki * dilation, kj * dilation
                 gxp[:, y0:y0 + h, x0:x0 + wdt, :] += gp[:, :, :, ki, kj, :]
-        gx = gxp[:, p:p + h, p:p + wdt, :]
-        if b is None:
-            return (gx, gw)
-        return (gx, gw, g.sum(axis=(0, 1, 2)))
+        return gxp[:, p:p + h, p:p + wdt, :], gw, g.sum(axis=(0, 1, 2))
 
-    parents = (x, w) if b is None else (x, w, b)
-    return _make(out, parents, vjp)
+    return _make(out, (x, w, b), vjp)
 
 
 def _lerp_rows(xf, i, t):

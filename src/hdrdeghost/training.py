@@ -203,8 +203,8 @@ def training_step(batch, params, cfg: ModelConfig, tcfg: TrainConfig):
     tape = tc.Tape()
     leaves = bind_params(params, tape)
     dt = tc.DTYPES[cfg.dtype]
-    ins = [np.concatenate([build_input(s)[k] for s in batch], axis=0)
-           .astype(dt) for k in range(3)]
+    ins = [np.concatenate(ks, axis=0).astype(dt)
+           for ks in zip(*(build_input(s) for s in batch))]
     gt = np.stack([s.ground_truth.pixels for s in batch], axis=0).astype(dt)
     out = forward_from_inputs(ins, leaves, cfg)
     loss = l1_tonemapped_loss(out, gt)

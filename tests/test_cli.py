@@ -15,6 +15,7 @@ from hdrdeghost.codecs import read_pfm
 from hdrdeghost.config import parse_config
 from hdrdeghost.model import (ConfigError, init_params, save_checkpoint,
                               tiny_preset)
+from hdrdeghost.training import TrainConfig, synth_dataset, training_step
 
 from test_codecs import write_sample
 from test_model import MALFORMED_MANIFESTS, _saved_with_manifest
@@ -283,6 +284,15 @@ class TestNonFinite:
         assert rc == EXIT_NUMERIC
         # the embed conv is the first kernel whose output is NaN
         assert "non-finite values in conv2d output" in err
+
+    def test_taped_step_names_the_parameter(self, debug_checks):
+        cfg = tiny_preset()
+        params = init_params(cfg, seed=1)
+        params["embed.w"] = np.full_like(params["embed.w"], np.nan)
+        batch = synth_dataset(1, seed=1, size=8)
+        with pytest.raises(FloatingPointError, match=r"non-finite values in "
+                           r"conv2d output \(embed\.w\)$"):
+            training_step(batch, params, cfg, TrainConfig(patch=8, stride=8))
 
     def test_eval_exits_3(self, tmp_path, nan_checkpoint, debug_checks):
         assert main(["eval", "--data", str(tmp_path / "data"),

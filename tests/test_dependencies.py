@@ -1,0 +1,36 @@
+"""numpy is the only runtime dependency: every import in the package is the
+standard library, numpy or the package itself, and the project metadata
+declares numpy alone."""
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+import hdrdeghost
+
+PACKAGE = Path(hdrdeghost.__file__).resolve().parent
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "hdrdeghost"}
+
+
+def _imported_roots(path):
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import (level > 0) stays inside the package
+            yield "hdrdeghost" if node.level else node.module.split(".")[0]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_package_imports_only_stdlib_and_numpy(path):
+    assert set(_imported_roots(path)) <= ALLOWED
+
+
+def test_runtime_dependencies_are_numpy_only():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    meta = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text())
+    deps = meta["project"]["dependencies"]
+    assert [re.match(r"[\w.-]+", d).group() for d in deps] == ["numpy"]

@@ -43,7 +43,7 @@ class TestWindowing:
     def roll_oracle(self, shape, window, shift, seed):
         x = tc.constant(np.random.default_rng(seed).normal(size=shape))
         tokens, info = window_partition(x, window, shift)
-        back = window_reverse(tokens, window, shift, info)
+        back = window_reverse(tokens, info)
         np.testing.assert_array_equal(back.data, x.data)
 
     @pytest.mark.parametrize("shape,window,shift", [
@@ -72,7 +72,7 @@ class TestWindowing:
         # equal partitioning a cyclically rolled copy, bit for bit
         x = tc.constant(np.random.default_rng(12).normal(size=(1, 8, 12, 5)))
         shifted, _ = window_partition(x, 4, shift=2)
-        rolled = tc.roll2d(x, -2, -2)
+        rolled = tc.constant(np.roll(x.data, (-2, -2), axis=(1, 2)))
         plain, _ = window_partition(rolled, 4, shift=0)
         np.testing.assert_array_equal(shifted.data, plain.data)
 
@@ -82,6 +82,40 @@ class TestWindowing:
         assert tokens.shape == (4, 4, 1)
         # first window is the top-left 2x2 block in row-major order
         np.testing.assert_array_equal(tokens.data[0, :, 0], [0, 1, 4, 5])
+
+    def test_padded_shifted_round_trip_is_one_take_each_way(self):
+        tape = tc.Tape()
+        x = tape.leaf(np.random.default_rng(13).normal(size=(2, 7, 9, 3)))
+        tokens, info = window_partition(x, 4, shift=2)
+        window_reverse(tokens, info)
+        kernels = [t.vjp.__qualname__.split(".")[0] for t in tape.nodes[1:]]
+        assert kernels == ["reshape", "take", "reshape"] * 2
+
+    # window 4, shift 2. 7 x 9 pads to 8 x 12; at 3 x 6 the roll moves row
+    # 1 behind its reflected copy, row 3, which then comes first in token order
+    @pytest.mark.parametrize("h,w", [(7, 9), (3, 6)])
+    def test_reverse_gradient_lands_on_original_pixel_tokens_only(self, h, w):
+        window, shift = 4, 2
+        tokens, info = window_partition(tc.constant(np.zeros((1, h, w, 2))),
+                                        window, shift)
+        tape = tc.Tape()
+        tl = tape.leaf(np.random.default_rng(14).normal(size=tokens.shape))
+        g = np.random.default_rng(15).normal(size=(1, h, w, 2))
+        gt = tc.backward(tc.sum_(tc.mul(window_reverse(tl, info), g)))[tl]
+        # each token's (row, col) in the padded grid, by the roll oracle
+        hp, wp = h + (-h) % window, w + (-w) % window
+        yy, xx = np.mgrid[0:hp, 0:wp]
+
+        def order(a):
+            a = np.roll(a, (-shift, -shift), axis=(0, 1))
+            return (a.reshape(hp // window, window, wp // window, window)
+                    .transpose(0, 2, 1, 3).reshape(tokens.shape[:2]))
+
+        rows, cols = order(yy), order(xx)
+        own = (rows < h) & (cols < w)
+        assert (~own).any()
+        assert not gt[~own].any()
+        np.testing.assert_array_equal(gt[own], g[0, rows[own], cols[own]])
 
 
 @pytest.fixture(scope="module")

@@ -18,7 +18,7 @@ class TestConv2d:
     def test_constant_image_all_ones_kernel(self):
         x = c(np.full((1, 5, 5, 1), 5.0))
         w = c(np.ones((3, 3, 1, 1)))
-        out = tc.conv2d(x, w)
+        out = tc.conv2d(x, w, c(np.zeros(1)))
         assert out.data[0, 2, 2, 0] == pytest.approx(45.0)
 
     def test_matches_loop_oracle_dilated(self):
@@ -52,7 +52,7 @@ class TestConv2d:
         tape = tc.Tape()
         wl = tape.leaf(w)
         gw = tc.backward(tc.sum_(tc.mul(
-            tc.conv2d(tape.leaf(x), wl, dilation=2), c(g))))[wl]
+            tc.conv2d(tape.leaf(x), wl, c(np.zeros(4)), dilation=2), c(g))))[wl]
         xp = np.pad(x, ((0, 0), (2, 2), (2, 2), (0, 0)))
         patches = np.stack([xp[:, 2 * i:2 * i + 6, 2 * j:2 * j + 5]
                             for i in range(3) for j in range(3)], axis=3)
@@ -63,20 +63,21 @@ class TestConv2d:
     def test_linearity(self):
         rng = np.random.default_rng(4)
         x, y = rng.normal(size=(1, 6, 6, 2)), rng.normal(size=(1, 6, 6, 2))
-        w = c(rng.normal(size=(3, 3, 2, 3)))
-        lhs = tc.conv2d(c(2.0 * x + 3.0 * y), w).data
-        rhs = 2.0 * tc.conv2d(c(x), w).data + 3.0 * tc.conv2d(c(y), w).data
+        w, b = c(rng.normal(size=(3, 3, 2, 3))), c(np.zeros(3))
+        lhs = tc.conv2d(c(2.0 * x + 3.0 * y), w, b).data
+        rhs = 2.0 * tc.conv2d(c(x), w, b).data + 3.0 * tc.conv2d(c(y), w, b).data
         np.testing.assert_allclose(lhs, rhs, atol=1e-5)
 
     def test_channel_mismatch_names_dimension(self):
         x = c(np.zeros((1, 4, 4, 2)))
         w = c(np.zeros((3, 3, 5, 1)))
         with pytest.raises(tc.ShapeError, match="channels"):
-            tc.conv2d(x, w)
+            tc.conv2d(x, w, c(np.zeros(1)))
 
     def test_even_kernel_rejected(self):
         with pytest.raises(tc.ShapeError, match="odd"):
-            tc.conv2d(c(np.zeros((1, 4, 4, 1))), c(np.zeros((2, 2, 1, 1))))
+            tc.conv2d(c(np.zeros((1, 4, 4, 1))), c(np.zeros((2, 2, 1, 1))),
+                      c(np.zeros(1)))
 
 
 def _deformable_reference(x, w, b, offsets):
@@ -385,6 +386,32 @@ class TestGlobalAvgPool:
                 assert out[b, ch] == pytest.approx(x[b, :, :, ch].mean())
 
 
+class TestTake:
+    # rows 1 and 4 repeat, row 3 is never read
+    idx = np.array([4, 1, 0, 1, 2, 4, 4])
+
+    def test_forward_is_the_row_gather(self):
+        x = np.random.default_rng(16).normal(size=(2, 5, 3))
+        np.testing.assert_array_equal(tc.take(c(x), self.idx).data, x[:, self.idx])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_vjp_matches_add_at_over_every_row(self, dtype):
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(2, 5, 3)).astype(dtype)
+        g = rng.normal(size=(2, 7, 3)).astype(dtype)
+        tape = tc.Tape()
+        xl = tape.leaf(x)
+        gx = tc.backward(tc.sum_(tc.mul(tc.take(xl, self.idx), g)))[xl]
+        want = np.zeros_like(x)
+        np.add.at(want, (slice(None), self.idx), g)
+        np.testing.assert_array_equal(gx, want)
+        assert not gx[:, 3].any()
+
+    def test_needs_three_axes(self):
+        with pytest.raises(tc.ShapeError, match="B x N x D"):
+            tc.take(c(np.zeros((5, 3))), self.idx)
+
+
 class TestElementwise:
     def test_mul_by_ones(self):
         x = np.random.default_rng(13).normal(size=(2, 3))
@@ -408,8 +435,8 @@ def test_kernels_are_pure():
     rng = np.random.default_rng(15)
     x = rng.normal(size=(1, 6, 6, 2))
     w = rng.normal(size=(3, 3, 2, 2))
-    a = tc.conv2d(c(x), c(w)).data
-    b = tc.conv2d(c(x), c(w)).data
+    a = tc.conv2d(c(x), c(w), c(np.zeros(2))).data
+    b = tc.conv2d(c(x), c(w), c(np.zeros(2))).data
     np.testing.assert_array_equal(a, b)
     s = tc.sigmoid(c(x)).data
     np.testing.assert_array_equal(s, tc.sigmoid(c(x)).data)
@@ -445,11 +472,8 @@ KERNEL_CASES = {
     "mean": (tc.mean, [(2, 3, 4)]),
     "global_avg_pool": (tc.global_avg_pool, [(1, 3, 4, 2)]),
     "reshape": (lambda x: tc.reshape(x, (3, 2)), [(2, 3)]),
-    "transpose": (lambda x: tc.transpose(x, (1, 0)), [(2, 3)]),
-    "roll2d": (lambda x: tc.roll2d(x, 1, -1), [(1, 3, 4, 2)]),
     "concat": (lambda a, b: tc.concat([a, b], axis=1), [(2, 3), (2, 1)]),
-    "narrow": (lambda x: tc.narrow(x, 1, 1, 2), [(2, 3)]),
-    "pad2d/reflect": (lambda x: tc.pad2d(x, (1, 2, 2, 1)), [(1, 3, 4, 2)]),
+    "take": (lambda x: tc.take(x, np.array([2, 0, 1, 2, 0])), [(2, 3, 4)]),
     "linear": (tc.linear, [(2, 3, 4), (4, 5), (5,)]),
     "layer_norm": (tc.layer_norm, [(2, 4), (4,), (4,)]),
     "window_attention": (lambda q, k, v: tc.window_attention(q, k, v, 2),
