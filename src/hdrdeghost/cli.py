@@ -21,7 +21,7 @@ from .codecs import DatasetError
 from .config import parse_config
 from .hdrmath import mu_law
 from .model import (CheckpointError, ConfigError, init_params, load_checkpoint,
-                    model_forward, param_manifest)
+                    model_forward, param_manifest, param_spec)
 from .training import TrainingError, synth_dataset, train_loop
 
 EXIT_OK = 0
@@ -118,7 +118,7 @@ def cmd_inspect(args):
         params, cfg = load_checkpoint(args.checkpoint)
     else:
         cfg, _ = parse_config(args.config) if args.config else parse_config(text="")
-        params = init_params(cfg, seed=0)
+        params = {name: shape for name, shape, _ in param_spec(cfg)}
     print("config:")
     for k, v in asdict(cfg).items():
         print(f"  {k} = {v}")

@@ -77,33 +77,22 @@ def tiny_preset(**overrides) -> ModelConfig:
 # ---------------------------------------------------------------------------
 # parameter initialization
 
-def _trunc_normal(rng, shape, std=0.02):
-    v = rng.normal(0.0, std, size=shape)
-    return np.clip(v, -2 * std, 2 * std)
-
-
-def _conv_init(rng, k, cin, cout):
-    bound = np.sqrt(6.0 / (k * k * cin))
-    return rng.uniform(-bound, bound, size=(k, k, cin, cout))
-
-
-def init_params(cfg: ModelConfig, seed: int = 0) -> dict:
-    """Seeded parameter dict, keyed by hierarchical names."""
-    rng = np.random.default_rng(seed)
+def param_spec(cfg: ModelConfig) -> list:
+    """(name, shape, init) of every parameter in init_params' draw order;
+    init is one of init_params' draws: "conv", "trunc", "zeros" or "ones"."""
     c, d = cfg.channels, cfg.embed_dim
-    p = {}
+    spec = []
 
-    def conv(name, cin, cout, k=3):
-        p[f"{name}.w"] = _conv_init(rng, k, cin, cout)
-        p[f"{name}.b"] = np.zeros(cout)
+    def conv(name, cin, cout, k=3, init="conv"):
+        spec.extend([(f"{name}.w", (k, k, cin, cout), init),
+                     (f"{name}.b", (cout,), "zeros")])
 
     def lin(name, din, dout):
-        p[f"{name}.w"] = _trunc_normal(rng, (din, dout))
-        p[f"{name}.b"] = np.zeros(dout)
+        spec.extend([(f"{name}.w", (din, dout), "trunc"),
+                     (f"{name}.b", (dout,), "zeros")])
 
     def norm(name, dim):
-        p[f"{name}.g"] = np.ones(dim)
-        p[f"{name}.b"] = np.zeros(dim)
+        spec.extend([(f"{name}.g", (dim,), "ones"), (f"{name}.b", (dim,), "zeros")])
 
     conv("head.shallow.0", 6, c)
     conv("head.shallow.1", c, c)
@@ -132,22 +121,38 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> dict:
             if cfg.deformable:
                 # offset predictors start at zero: the plain-conv operating point
                 for j, cin in ((1, c2), (2, c3)):
-                    p[f"{pre}.local.dconv{j}.off.w"] = np.zeros((3, 3, cin, 18))
-                    p[f"{pre}.local.dconv{j}.off.b"] = np.zeros(18)
+                    conv(f"{pre}.local.dconv{j}.off", cin, 18, init="zeros")
             lin(f"{pre}.local.fc", c3, d)
         conv(f"group{g}.conv", d, d)
 
     conv("tail.dilated", d, d)
     conv("tail.conv1", d, d)
     conv("tail.out", d, 3)
+    return spec
 
+
+def init_params(cfg: ModelConfig, seed: int = 0) -> dict:
+    """Seeded parameter dict, keyed by hierarchical names."""
+    rng = np.random.default_rng(seed)
+
+    def conv(shape):  # uniform, bounded by the fan-in
+        bound = np.sqrt(6.0 / (shape[0] * shape[1] * shape[2]))
+        return rng.uniform(-bound, bound, size=shape)
+
+    def trunc(shape, std=0.02):  # normal, clipped at two std
+        return np.clip(rng.normal(0.0, std, size=shape), -2 * std, 2 * std)
+
+    draw = {"conv": conv, "trunc": trunc, "zeros": np.zeros, "ones": np.ones}
     dt = tc.DTYPES[cfg.dtype]
-    return {k: v.astype(dt) for k, v in p.items()}
+    return {name: draw[init](shape).astype(dt)
+            for name, shape, init in param_spec(cfg)}
 
 
 def param_manifest(params: dict):
-    """(name, shape, count) rows plus the total parameter count."""
-    rows = [(k, tuple(v.shape), int(v.size)) for k, v in sorted(params.items())]
+    """(name, shape, count) rows plus the total parameter count of a dict
+    that maps each name to an array or to its shape."""
+    shapes = {k: tuple(getattr(v, "shape", v)) for k, v in params.items()}
+    rows = [(k, s, int(np.prod(s))) for k, s in sorted(shapes.items())]
     return rows, sum(r[2] for r in rows)
 
 
@@ -342,7 +347,7 @@ def _parse_checkpoint(blob):
         pos += wire.itemsize * n
     if pos != len(blob):
         raise CheckpointError("trailing bytes after declared payloads")
-    expected = {k: v.shape for k, v in init_params(cfg, seed=0).items()}
+    expected = {name: shape for name, shape, _ in param_spec(cfg)}
     if set(params) != set(expected):
         missing = sorted(set(expected) - set(params))
         extra = sorted(set(params) - set(expected))

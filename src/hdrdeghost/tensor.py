@@ -15,6 +15,10 @@ DEBUG_CHECKS = os.environ.get("HDT_DEBUG_CHECKS", "0") not in ("", "0")
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
 
+# working bytes per chunk of conv2d, deformable_conv2d and window_attention:
+# an untaped call's temporaries stay this size whatever the image size
+CHUNK_BYTES = 1 << 18
+
 
 class ShapeError(ValueError):
     """Raised when tensor dimensions do not match a kernel's contract."""
@@ -145,6 +149,15 @@ def _unbroadcast(g, shape):
     return g
 
 
+def _chunks(n, row_bytes, keep=False):
+    """Spans (lo, hi, at) of range(n), of one row or more and at most
+    CHUNK_BYTES of ``row_bytes`` rows, and the rows of the buffer a span fills
+    from row ``at``: all n to ``keep`` them for a vjp, else one span's, reused."""
+    step = max(1, CHUNK_BYTES // max(1, row_bytes))
+    spans = [(lo, min(lo + step, n), lo * keep) for lo in range(0, max(n, 1), step)]
+    return (n if keep else spans[0][1]), spans
+
+
 def _check_broadcast(a, b):
     try:
         np.broadcast_shapes(a.shape, b.shape)
@@ -222,7 +235,7 @@ def sigmoid(x):
 
 def leaky_relu(x):
     xd = _data(x)
-    mask = np.where(xd >= 0, 1.0, 0.01).astype(xd.dtype)
+    mask = np.where(xd >= 0, xd.dtype.type(1), xd.dtype.type(0.01))
     return _make(xd * mask, (x,), lambda g: (g * mask,))
 
 
@@ -340,7 +353,8 @@ def layer_norm(x, gamma, beta):
 def window_attention(q, k, v, heads):
     """Multi-head scaled dot-product attention over the token axis of
     windows x tokens x D inputs. Heads are split from and merged back into
-    the last axis; the backward keeps q, k, v and the probabilities."""
+    the last axis. The backward keeps q, k, v and the probabilities; an
+    untaped call reuses one chunk of windows' score buffer."""
     qd, kd, vd = _data(q), _data(k), _data(v)
     if qd.ndim != 3 or not qd.shape == kd.shape == vd.shape:
         raise ShapeError(f"window_attention needs three equal windows x tokens"
@@ -352,17 +366,23 @@ def window_attention(q, k, v, heads):
     scale = float(1.0 / np.sqrt(hd))  # an np.float64 would promote f32 math
 
     def split(x):
-        return np.transpose(x.reshape(bw, t, heads, hd), (0, 2, 1, 3))
+        return np.transpose(x.reshape(len(x), t, heads, hd), (0, 2, 1, 3))
 
     def merge(x):
-        return np.transpose(x, (0, 2, 1, 3)).reshape(bw, t, d)
+        return np.transpose(x, (0, 2, 1, 3)).reshape(len(x), t, d)
 
     qh, kh, vh = split(qd), split(kd), split(vd)
-    y = qh @ np.swapaxes(kh, -1, -2)  # scores, then probabilities, in place
-    y *= scale
-    y -= y.max(axis=-1, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
+    rows, spans = _chunks(bw, heads * t * t * qd.itemsize, _tape(q, k, v) is not None)
+    y = np.empty((rows, heads, t, t), np.result_type(qd, kd))
+    out = np.empty(qd.shape, np.result_type(y, vd))
+    for lo, hi, at in spans:
+        yc = y[at:at + hi - lo]  # scores, then probabilities, in place
+        np.matmul(qh[lo:hi], np.swapaxes(kh[lo:hi], -1, -2), out=yc)
+        yc *= scale
+        yc -= yc.max(axis=-1, keepdims=True)
+        np.exp(yc, out=yc)
+        yc /= yc.sum(axis=-1, keepdims=True)
+        out[lo:hi] = merge(yc @ vh[lo:hi])
 
     def vjp(g):
         go = split(g)
@@ -371,7 +391,7 @@ def window_attention(q, k, v, heads):
         gk = np.swapaxes(np.swapaxes(qh, -1, -2) @ gs, -1, -2)
         return merge(gs @ kh), merge(gk), merge(np.swapaxes(y, -1, -2) @ go)
 
-    return _make(merge(y @ vh), (q, k, v), vjp)
+    return _make(out, (q, k, v), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -397,20 +417,27 @@ def conv2d(x, w, b, dilation=1):
         raise ShapeError(f"bias must have shape ({cout},)")
 
     p = dilation * (k - 1) // 2
-    xp = np.pad(xd, ((0, 0), (p, p), (p, p), (0, 0)))
-
-    patches = np.empty((bsz, h, wdt, k, k, cin), dtype=xd.dtype)
-    for ki in range(k):
-        for kj in range(k):
-            y0, x0 = ki * dilation, kj * dilation
-            patches[:, :, :, ki, kj, :] = xp[:, y0:y0 + h, x0:x0 + wdt, :]
-    p2 = patches.reshape(bsz, h, wdt, k * k * cin)
-    out = p2 @ wd.reshape(k * k * cin, cout) + _data(b)
+    w2, bd = wd.reshape(k * k * cin, cout), _data(b)
+    # output rows in chunks, each gathered from its zero-padded input rows
+    rows, spans = _chunks(h, bsz * wdt * k * k * cin * xd.itemsize,
+                          _tape(x, w, b) is not None)
+    patches = np.empty((bsz, rows, wdt, k, k, cin), xd.dtype)
+    out = np.empty((bsz, h, wdt, cout), np.result_type(xd, wd, bd))
+    for lo, hi, at in spans:
+        top, end = max(lo - p, 0), min(hi + p, h)
+        xp = np.zeros((bsz, hi - lo + 2 * p, wdt + 2 * p, cin), xd.dtype)
+        xp[:, top - lo + p:end - lo + p, p:p + wdt] = xd[:, top:end]
+        pc = patches[:, at:at + hi - lo]
+        for ki in range(k):
+            for kj in range(k):
+                y0, x0 = ki * dilation, kj * dilation
+                pc[:, :, :, ki, kj, :] = xp[:, y0:y0 + hi - lo, x0:x0 + wdt, :]
+        out[:, lo:hi] = pc.reshape(bsz, hi - lo, wdt, k * k * cin) @ w2 + bd
 
     def vjp(g):
-        gw = (p2.reshape(-1, k * k * cin).T @ g.reshape(-1, cout)).reshape(wd.shape)
-        gp = (g @ wd.reshape(-1, cout).T).reshape(bsz, h, wdt, k, k, cin)
-        gxp = np.zeros_like(xp)
+        gw = (patches.reshape(-1, len(w2)).T @ g.reshape(-1, cout)).reshape(wd.shape)
+        gp = (g @ w2.T).reshape(bsz, h, wdt, k, k, cin)
+        gxp = np.zeros((bsz, h + 2 * p, wdt + 2 * p, cin), xd.dtype)
         for ki in range(k):
             for kj in range(k):
                 y0, x0 = ki * dilation, kj * dilation
@@ -450,7 +477,7 @@ def deformable_conv2d(x, w, b, offsets):
             f"offset field must be B x H x W x {2 * k * k}, got {od.shape}")
     bsz, h, wdt, cin = xd.shape
     cout = wd.shape[3]
-    w2 = wd.reshape(k * k * cin, cout)
+    w2, bd = wd.reshape(k * k * cin, cout), _data(b)
 
     p = (k - 1) // 2
     hp, wp = h + 2 * p, wdt + 2 * p
@@ -458,27 +485,31 @@ def deformable_conv2d(x, w, b, offsets):
     # rows i00, i00 + 1, i00 + wp and i00 + wp + 1
     xf = np.pad(xd, ((0, 0), (p, p), (p, p), (0, 0))).reshape(-1, cin)
 
-    offs = od.reshape(bsz, h, wdt, k, k, 2)
-    ys = np.arange(h, dtype=xd.dtype)[None, :, None, None, None]
-    xs = np.arange(wdt, dtype=xd.dtype)[None, None, :, None, None]
-    tap_y = np.arange(k, dtype=xd.dtype)[None, None, None, :, None]
-    tap_x = np.arange(k, dtype=xd.dtype)[None, None, None, None, :]
-    py_raw = (ys + tap_y + offs[..., 0]).reshape(-1)
-    px_raw = (xs + tap_x + offs[..., 1]).reshape(-1)
-    my = (py_raw > 0) & (py_raw < hp - 1)
-    mx = (px_raw > 0) & (px_raw < wp - 1)
-    py = np.clip(py_raw, 0.0, hp - 1.0)
-    px = np.clip(px_raw, 0.0, wp - 1.0)
-    with np.errstate(invalid="ignore"):  # NaN coordinates give NaN samples
-        y0 = np.clip(np.floor(py).astype(np.int64), 0, hp - 2)
-        x0 = np.clip(np.floor(px).astype(np.int64), 0, wp - 2)
-    # int64 corners would promote the weights (and all that follows) to f64
-    wy = (py - y0).astype(xd.dtype, copy=False)
-    wx = (px - x0).astype(xd.dtype, copy=False)
-    i00 = (np.repeat(np.arange(bsz) * hp, h * wdt * k * k) + y0) * wp + x0
+    offs = od.reshape(-1, k, k, 2)
+    taps = np.arange(k, dtype=xd.dtype)
 
-    def sample():
-        """(B*H*W) x (k*k*Cin) bilinear samples, two lerps along x and one
+    def coords(lo, hi):
+        """The samples of flat output pixels lo..hi: corner row i00, the
+        bilinear weights wy, wx and the in-bounds masks my, mx."""
+        bi, yx = np.divmod(np.arange(lo, hi), h * wdt)
+        ys, xs = (a.astype(xd.dtype)[:, None, None] for a in np.divmod(yx, wdt))
+        py_raw = (ys + taps[:, None] + offs[lo:hi, ..., 0]).reshape(-1)
+        px_raw = (xs + taps + offs[lo:hi, ..., 1]).reshape(-1)
+        my = (py_raw > 0) & (py_raw < hp - 1)
+        mx = (px_raw > 0) & (px_raw < wp - 1)
+        py = np.clip(py_raw, 0.0, hp - 1.0)
+        px = np.clip(px_raw, 0.0, wp - 1.0)
+        with np.errstate(invalid="ignore"):  # NaN coordinates give NaN samples
+            y0 = np.clip(np.floor(py).astype(np.int64), 0, hp - 2)
+            x0 = np.clip(np.floor(px).astype(np.int64), 0, wp - 2)
+        # int64 corners would promote the weights (and all that follows) to f64
+        wy = (py - y0).astype(xd.dtype, copy=False)
+        wx = (px - x0).astype(xd.dtype, copy=False)
+        i00 = (np.repeat(bi * hp, k * k) + y0) * wp + x0
+        return i00, wy, wx, my, mx
+
+    def sample(i00, wy, wx):
+        """(pixels) x (k*k*Cin) bilinear samples, two lerps along x and one
         along y, with dv/dy and the x-differences of both corner rows."""
         top, dx0 = _lerp_rows(xf, i00, wx)
         dvdy, dx1 = _lerp_rows(xf, i00 + wp, wx)
@@ -486,14 +517,17 @@ def deformable_conv2d(x, w, b, offsets):
         top += wy[:, None] * dvdy
         return top.reshape(-1, k * k * cin), dvdy, dx0, dx1
 
-    out = (sample()[0] @ w2 + _data(b)).reshape(bsz, h, wdt, cout)
+    out = np.empty((bsz * h * wdt, cout), np.result_type(xd, wd, bd))
+    for lo, hi, _ in _chunks(len(out), k * k * cin * xd.itemsize)[1]:
+        out[lo:hi] = sample(*coords(lo, hi)[:3])[0] @ w2 + bd
 
     def vjp(g):
-        # corners are gathered again: kept, they would hold five sample-sized
-        # arrays per call until backward
+        # coordinates and corners are computed again: kept, they would hold
+        # five per-tap and five sample-sized arrays per call until backward
         g2 = g.reshape(-1, cout)
         gs = (g2 @ w2.T).reshape(-1, cin)
-        s, dvdy, dx0, dx1 = sample()
+        i00, wy, wx, my, mx = coords(0, len(g2))
+        s, dvdy, dx0, dx1 = sample(i00, wy, wx)
         gw = (s.T @ g2).reshape(wd.shape)
         gpy = (gs * dvdy).sum(axis=-1) * my
         a0 = (gs * dx0).sum(axis=-1)  # dv/dx is dx0 lerped toward dx1 by wy
@@ -509,7 +543,7 @@ def deformable_conv2d(x, w, b, offsets):
         goff = np.stack([gpy, gpx], axis=-1).reshape(bsz, h, wdt, -1)
         return (gx, gw, g.sum(axis=(0, 1, 2)), goff)
 
-    return _make(out, (x, w, b, offsets), vjp)
+    return _make(out.reshape(bsz, h, wdt, cout), (x, w, b, offsets), vjp)
 
 
 # ---------------------------------------------------------------------------

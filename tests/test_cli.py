@@ -3,18 +3,19 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hdrdeghost
-from hdrdeghost import tensor as tc
+from hdrdeghost import cli, model, tensor as tc
 from hdrdeghost.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main)
 from hdrdeghost.codecs import read_pfm
 from hdrdeghost.config import parse_config
-from hdrdeghost.model import (ConfigError, init_params, save_checkpoint,
-                              tiny_preset)
+from hdrdeghost.model import (ConfigError, full_preset, init_params,
+                              param_manifest, save_checkpoint, tiny_preset)
 from hdrdeghost.training import TrainConfig, synth_dataset, training_step
 
 from test_codecs import write_sample
@@ -335,6 +336,24 @@ class TestInspect:
         out = capsys.readouterr().out
         assert rc == EXIT_OK
         assert "total parameters: 1432647" in out
+
+    def test_default_manifest_draws_no_weights(self, capsys, monkeypatch):
+        cfg = full_preset()
+        rows, total = param_manifest(init_params(cfg))
+        want = ("config:\n"
+                + "".join(f"  {k} = {v}\n" for k, v in asdict(cfg).items())
+                + "parameters:\n"
+                + "".join(f"  {n:40s} {str(s):24s} {c}\n" for n, s, c in rows)
+                + f"total parameters: {total}\n")
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("inspect drew weights")
+
+        for mod, name in ((cli, "init_params"), (model, "init_params"),
+                          (np.random, "default_rng")):
+            monkeypatch.setattr(mod, name, no_draws)
+        assert main(["inspect"]) == EXIT_OK
+        assert capsys.readouterr().out == want
 
     def test_checkpoint_inspection(self, tmp_path, checkpoint, capsys):
         rc = main(["inspect", "--checkpoint", str(checkpoint)])

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hdrdeghost import tensor as tc
+from hdrdeghost import model, tensor as tc
 from hdrdeghost.hdrmath import LdrImage, SampleTriplet, build_input
 from hdrdeghost.model import (CHECKPOINT_MAGIC, CheckpointError, ConfigError,
                               ModelConfig, bind_params, dt_forward,
                               forward_from_inputs,
                               global_branch, hdt_forward, init_params,
                               load_checkpoint, local_branch, model_forward,
-                              msa, full_preset, param_manifest,
+                              msa, full_preset, param_manifest, param_spec,
                               save_checkpoint, tiny_preset, window_partition,
                               window_reverse)
 
@@ -226,6 +226,27 @@ class TestBody:
         assert taped.data.dtype == tc.DTYPES[dtype]
         np.testing.assert_array_equal(untaped, taped.data[0])
 
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_untaped_matches_taped_across_many_chunks(self, dtype, monkeypatch):
+        # 4 KB chunks: the embed conv runs one row at a time, attention two
+        # windows, the deformable convs a quarter of the pixels
+        cfg = tiny_preset(dtype=dtype)
+        rng = np.random.default_rng(26)
+        params = init_params(cfg, seed=7)
+        for k, v in params.items():
+            if ".off." in k:
+                params[k] = (v + rng.normal(0, 0.05, size=v.shape)).astype(v.dtype)
+        s = make_triplet(12, 12, seed=27)
+        whole = model_forward(s, params, cfg).pixels
+        monkeypatch.setattr(tc, "CHUNK_BYTES", 1 << 12)
+        untaped = model_forward(s, params, cfg).pixels
+        tape = tc.Tape()
+        ins = [x.astype(tc.DTYPES[dtype]) for x in build_input(s)]
+        taped = forward_from_inputs(ins, bind_params(params, tape), cfg)
+        assert untaped.tobytes() == taped.data[0].astype(np.float64).tobytes()
+        np.testing.assert_allclose(untaped, whole,
+                                   rtol=1e-12 if dtype == "f64" else 1e-5)
+
     def test_ablation_variants_distinct(self):
         s = make_triplet(8, 8, seed=22)
         rng = np.random.default_rng(23)
@@ -256,6 +277,102 @@ class TestManifest:
         rows, total = param_manifest(params)
         assert {r[0] for r in rows} == set(params)
         assert total == sum(v.size for v in params.values())
+
+
+def _reference_init_params(cfg, seed=0):
+    """init_params as it was before the parameter spec: the reference for
+    names, order, draws and dtype."""
+    rng = np.random.default_rng(seed)
+    c, d = cfg.channels, cfg.embed_dim
+    p = {}
+
+    def conv(name, cin, cout, k=3):
+        bound = np.sqrt(6.0 / (k * k * cin))
+        p[f"{name}.w"] = rng.uniform(-bound, bound, size=(k, k, cin, cout))
+        p[f"{name}.b"] = np.zeros(cout)
+
+    def lin(name, din, dout):
+        v = rng.normal(0.0, 0.02, size=(din, dout))
+        p[f"{name}.w"] = np.clip(v, -0.04, 0.04)
+        p[f"{name}.b"] = np.zeros(dout)
+
+    def norm(name, dim):
+        p[f"{name}.g"] = np.ones(dim)
+        p[f"{name}.b"] = np.zeros(dim)
+
+    conv("head.shallow.0", 6, c)
+    conv("head.shallow.1", c, c)
+    conv("head.shallow.2", c, c)
+    for i in (1, 3):
+        conv(f"head.att{i}.conv1", 2 * c, c)
+        conv(f"head.att{i}.conv2", c, c)
+    conv("embed", 4 * c, d)
+    c1, c2, c3 = cfg.local_c1, cfg.local_c2, cfg.local_c3
+    for g in range(cfg.groups):
+        for n in range(cfg.blocks_per_group):
+            pre = f"group{g}.dt{n}"
+            norm(f"{pre}.ln1", d)
+            for proj in ("q", "k", "v", "o"):
+                lin(f"{pre}.msa.{proj}", d, d)
+            norm(f"{pre}.ln2", d)
+            lin(f"{pre}.mlp.fc1", d, cfg.mlp_hidden)
+            lin(f"{pre}.mlp.fc2", cfg.mlp_hidden, d)
+            norm(f"{pre}.local.ln", d)
+            conv(f"{pre}.local.conv1", d, c1)
+            conv(f"{pre}.local.conv2", c1, c2)
+            conv(f"{pre}.local.dconv1", c2, c3)
+            conv(f"{pre}.local.dconv2", c3, c3)
+            if cfg.deformable:
+                for j, cin in ((1, c2), (2, c3)):
+                    p[f"{pre}.local.dconv{j}.off.w"] = np.zeros((3, 3, cin, 18))
+                    p[f"{pre}.local.dconv{j}.off.b"] = np.zeros(18)
+            lin(f"{pre}.local.fc", c3, d)
+        conv(f"group{g}.conv", d, d)
+    conv("tail.dilated", d, d)
+    conv("tail.conv1", d, d)
+    conv("tail.out", d, 3)
+    dt = tc.DTYPES[cfg.dtype]
+    return {k: v.astype(dt) for k, v in p.items()}
+
+
+class TestParamSpec:
+    @pytest.mark.parametrize("cfg", [full_preset(), tiny_preset(dtype="f64"),
+                                     full_preset(deformable=False)],
+                             ids=["full", "tiny-f64", "full-no-deformable"])
+    def test_init_params_byte_identical_to_reference(self, cfg):
+        for seed in (0, 3):
+            got, want = init_params(cfg, seed), _reference_init_params(cfg, seed)
+            assert list(got) == list(want)
+            for k in want:
+                assert got[k].dtype == want[k].dtype, k
+                assert got[k].shape == want[k].shape, k
+                assert got[k].tobytes() == want[k].tobytes(), k
+
+    def test_spec_lists_init_params_names_and_shapes(self):
+        cfg = full_preset()
+        params = init_params(cfg)
+        spec = param_spec(cfg)
+        assert ([(n, s) for n, s, _ in spec]
+                == [(k, v.shape) for k, v in params.items()])
+        assert (param_manifest({n: s for n, s, _ in spec})
+                == param_manifest(params))
+
+    def test_load_draws_no_weights(self, tmp_path, monkeypatch):
+        cfg = tiny_preset()
+        params = init_params(cfg, seed=2)
+        path = tmp_path / "m.hdck"
+        save_checkpoint(path, params, cfg)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("checkpoint load drew weights")
+
+        monkeypatch.setattr(model, "init_params", no_draws)
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        back, cfg2 = load_checkpoint(path)
+        assert cfg2 == cfg
+        assert list(back) == sorted(params)
+        for k in params:
+            assert back[k].tobytes() == params[k].tobytes()
 
 
 class TestCheckpoint:

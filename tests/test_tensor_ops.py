@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -360,6 +362,20 @@ class TestActivations:
     def test_leaky_relu_slope(self):
         assert tc.leaky_relu(c([-1.0])).data[0] == pytest.approx(-0.01)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_leaky_relu_mask_in_input_dtype_matches_f64_mask(self, dtype):
+        # the mask once was built in f64 and cast: same factors, same bits
+        x = np.random.default_rng(30).normal(size=(4, 50)).astype(dtype)
+        x[0, :4] = [0.0, -0.0, np.inf, -np.inf]
+        old = np.where(x >= 0, 1.0, 0.01).astype(dtype)
+        out = tc.leaky_relu(tc.constant(x))
+        assert out.data.dtype == dtype
+        assert out.data.tobytes() == (x * old).tobytes()
+        tape = tc.Tape()
+        leaf = tape.leaf(x[1:])
+        g = tc.backward(tc.sum_(tc.leaky_relu(leaf)))[leaf]
+        assert g.dtype == dtype and g.tobytes() == old[1:].tobytes()
+
     def test_sigmoid_zero(self):
         assert tc.sigmoid(c([0.0])).data[0] == pytest.approx(0.5)
 
@@ -367,6 +383,96 @@ class TestActivations:
         out = tc.sigmoid(c([40.0, -40.0])).data
         assert np.all(np.isfinite(out))
         np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-6)
+
+
+class TestChunks:
+    """conv2d, deformable_conv2d and window_attention split their output
+    into chunks of at most tc.CHUNK_BYTES of working rows."""
+
+    @staticmethod
+    def run(monkeypatch, chunk_bytes, kernel, arrays, g):
+        """Untaped output, taped output and taped gradients at one chunk size."""
+        monkeypatch.setattr(tc, "CHUNK_BYTES", chunk_bytes)
+        untaped = kernel(*arrays).data
+        tape = tc.Tape()
+        leaves = [tape.leaf(a) for a in arrays]
+        out = kernel(*leaves)
+        grads = tc.backward(tc.sum_(tc.mul(out, tc.constant(g))))
+        return [untaped, out.data] + [grads[leaf] for leaf in leaves]
+
+    def check(self, monkeypatch, kernel, arrays, chunk_bytes, exact):
+        out = kernel(*arrays).data
+        g = np.random.default_rng(31).normal(size=out.shape).astype(out.dtype)
+        one = self.run(monkeypatch, 1 << 40, kernel, arrays, g)
+        calls, chunks = [], tc._chunks
+
+        def spy(*args):
+            calls.append(chunks(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(tc, "_chunks", spy)
+        many = self.run(monkeypatch, chunk_bytes, kernel, arrays, g)
+        assert len(calls) == 2 and min(len(spans) for _, spans in calls) >= 3
+        np.testing.assert_array_equal(many[0], many[1])  # one loop, both modes
+        for got, want in zip(many, one):
+            assert got.dtype == want.dtype
+            if exact:
+                assert got.tobytes() == want.tobytes()
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-12,
+                                           atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_window_attention_in_chunks_is_bit_identical(self, monkeypatch, dtype):
+        rng = np.random.default_rng(32)
+        q, k, v = (rng.normal(size=(7, 4, 6)).astype(dtype) for _ in range(3))
+        # two windows of 2 heads x 4 x 4 scores per chunk: 4 chunks
+        self.check(monkeypatch, lambda q, k, v: tc.window_attention(q, k, v, 2),
+                   (q, k, v), 2 * (2 * 4 * 4 * q.itemsize), exact=True)
+
+    @pytest.mark.parametrize("dilation", [1, 2])
+    def test_conv2d_in_chunks_at_batch_2(self, monkeypatch, dilation):
+        rng = np.random.default_rng(33)
+        x, w, b = (rng.normal(size=(2, 9, 7, 3)), rng.normal(size=(3, 3, 3, 4)),
+                   rng.normal(size=4))
+        # two output rows of 2 x 7 patches of 27 f64 values per chunk: 5 chunks
+        self.check(monkeypatch, lambda x, w, b: tc.conv2d(x, w, b, dilation),
+                   (x, w, b), 2 * (2 * 7 * 27 * 8), exact=False)
+
+    def test_deformable_conv2d_in_chunks_at_batch_2(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        x, w, b = (rng.normal(size=(2, 6, 7, 3)), rng.normal(size=(3, 3, 3, 4)),
+                   rng.normal(size=4))
+        # fractional offsets reaching past both clamp borders of each axis;
+        # 10-pixel chunks start mid-row and one spans both images
+        off = rng.uniform(-3.5, 3.5, size=(2, 6, 7, 18))
+        self.check(monkeypatch, tc.deformable_conv2d, (x, w, b, off),
+                   10 * (27 * 8), exact=False)
+
+    def test_nan_in_a_later_chunk_names_the_kernel(self, monkeypatch):
+        monkeypatch.setattr(tc, "DEBUG_CHECKS", True)
+        monkeypatch.setattr(tc, "CHUNK_BYTES", 2 * 7 * 27 * 8)  # one row each
+        x = np.ones((2, 9, 7, 3))
+        x[1, 8, 3, 0] = np.nan
+        with pytest.raises(FloatingPointError,
+                           match="non-finite values in conv2d output"):
+            tc.conv2d(x, np.ones((3, 3, 3, 4)), np.zeros(4))
+
+    @pytest.mark.parametrize("size", [64, 256])
+    def test_untaped_conv2d_working_set_is_a_few_chunks(self, size):
+        rng = np.random.default_rng(35)
+        x = rng.normal(size=(1, size, size, 8)).astype(np.float32)
+        w = rng.normal(size=(3, 3, 8, 8)).astype(np.float32)
+        b = np.zeros(8, np.float32)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = tc.conv2d(x, w, b).data
+            peak = tracemalloc.get_traced_memory()[1] - base - out.nbytes
+        finally:
+            tracemalloc.stop()
+        # a whole-image im2col would be 9 input-sized arrays
+        assert peak <= 3 * tc.CHUNK_BYTES
 
 
 class TestGlobalAvgPool:
