@@ -147,7 +147,7 @@ def _load_sample(sample_dir: Path) -> SampleTriplet:
     exp_path = sample_dir / "exposures.txt"
     if not exp_path.exists():
         raise DatasetError(f"{sample_dir}: missing exposures.txt")
-    lines = [ln for ln in exp_path.read_text().split() if ln]
+    lines = exp_path.read_text(errors="replace").split()  # bytes need not be UTF-8
     if len(lines) != 3:
         raise DatasetError(
             f"{sample_dir}: exposures.txt must hold 3 values, got {len(lines)}")

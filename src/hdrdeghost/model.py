@@ -250,6 +250,7 @@ def hdt_forward(f_init, p, cfg):
     """Body: embed, M groups of N blocks, dilated tail with two global
     residuals, then a sigmoid RGB head. Output values lie in (0, 1)."""
     x0 = tc.conv2d(f_init, p["embed.w"], p["embed.b"])
+    del f_init  # the head's 4C map: untaped, it is freed here
     x = x0
     for g in range(cfg.groups):
         gin = x

@@ -235,8 +235,13 @@ def sigmoid(x):
 
 def leaky_relu(x):
     xd = _data(x)
-    mask = np.where(xd >= 0, xd.dtype.type(1), xd.dtype.type(0.01))
-    return _make(xd * mask, (x,), lambda g: (g * mask,))
+
+    def mask():  # the vjp rebuilds it from the input it keeps anyway
+        return np.where(xd >= 0, xd.dtype.type(1), xd.dtype.type(0.01))
+
+    y = mask()
+    y *= xd
+    return _make(y, (x,), lambda g: (g * mask(),))
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +282,7 @@ def reshape(x, shape):
 def concat(xs, axis):
     datas = [_data(x) for x in xs]
     sizes = [d.shape[axis] for d in datas]
-    offs = np.cumsum([0] + sizes)
+    offs = np.cumsum([0] + sizes).tolist()
 
     def vjp(g):
         return tuple(np.take(g, range(offs[i], offs[i + 1]), axis=axis)
@@ -333,12 +338,12 @@ def layer_norm(x, gamma, beta):
     xc = xd - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + 1e-5)
-    xhat = xc * inv
-    out = gd * xhat + bd
+    out = gd * (xc * inv) + bd
     n = xd.shape[-1]
     lead = tuple(range(xd.ndim - 1))
 
-    def vjp(g):
+    def vjp(g):  # keeps the row statistics, not xhat: the same ops rebuild it
+        xhat = (xd - mu) * inv
         gxhat = g * gd
         gx = inv * (gxhat
                     - gxhat.mean(axis=-1, keepdims=True)
@@ -418,24 +423,31 @@ def conv2d(x, w, b, dilation=1):
 
     p = dilation * (k - 1) // 2
     w2, bd = wd.reshape(k * k * cin, cout), _data(b)
-    # output rows in chunks, each gathered from its zero-padded input rows
-    rows, spans = _chunks(h, bsz * wdt * k * k * cin * xd.itemsize,
-                          _tape(x, w, b) is not None)
-    patches = np.empty((bsz, rows, wdt, k, k, cin), xd.dtype)
-    out = np.empty((bsz, h, wdt, cout), np.result_type(xd, wd, bd))
-    for lo, hi, at in spans:
+
+    def gather(lo, hi, buf):
+        """The im2col patches of output rows lo..hi, written into buf and
+        gathered from those rows' zero-padded input rows."""
         top, end = max(lo - p, 0), min(hi + p, h)
         xp = np.zeros((bsz, hi - lo + 2 * p, wdt + 2 * p, cin), xd.dtype)
         xp[:, top - lo + p:end - lo + p, p:p + wdt] = xd[:, top:end]
-        pc = patches[:, at:at + hi - lo]
         for ki in range(k):
             for kj in range(k):
                 y0, x0 = ki * dilation, kj * dilation
-                pc[:, :, :, ki, kj, :] = xp[:, y0:y0 + hi - lo, x0:x0 + wdt, :]
-        out[:, lo:hi] = pc.reshape(bsz, hi - lo, wdt, k * k * cin) @ w2 + bd
+                buf[:, :, :, ki, kj, :] = xp[:, y0:y0 + hi - lo, x0:x0 + wdt, :]
+        return buf.reshape(bsz, hi - lo, wdt, k * k * cin)
+
+    # output rows in chunks through one reused buffer, taped or not
+    rows, spans = _chunks(h, bsz * wdt * k * k * cin * xd.itemsize)
+    buf = np.empty((bsz, rows, wdt, k, k, cin), xd.dtype)
+    out = np.empty((bsz, h, wdt, cout), np.result_type(xd, wd, bd))
+    for lo, hi, _ in spans:
+        out[:, lo:hi] = gather(lo, hi, buf[:, :hi - lo]) @ w2 + bd
 
     def vjp(g):
+        # the patches are gathered again, whole, and freed before gp
+        patches = gather(0, h, np.empty((bsz, h, wdt, k, k, cin), xd.dtype))
         gw = (patches.reshape(-1, len(w2)).T @ g.reshape(-1, cout)).reshape(wd.shape)
+        del patches
         gp = (g @ w2.T).reshape(bsz, h, wdt, k, k, cin)
         gxp = np.zeros((bsz, h + 2 * p, wdt + 2 * p, cin), xd.dtype)
         for ki in range(k):

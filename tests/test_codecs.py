@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hdrdeghost.codecs import (CodecError, DatasetError, load_dataset,
-                               read_pfm, read_ppm, write_pfm, write_ppm)
+from hdrdeghost.codecs import (CodecError, DatasetError, _load_sample,
+                               load_dataset, read_pfm, read_ppm, write_pfm,
+                               write_ppm)
 
 
 class TestPpm:
@@ -142,6 +143,38 @@ def test_fuzzed_image_decodes_or_raises_codec_error(valid_images, data):
     except CodecError:
         return
     assert img.pixels.ndim == 3 and img.pixels.shape[2] == 3
+
+
+# exposures.txt: stops that parse, overflow, repeat or are not numbers, laid
+# out with any whitespace, or raw bytes that need not be UTF-8
+_STOP = st.one_of(st.integers(-1100, 1100).map(str),
+                  st.floats().map(repr),
+                  st.sampled_from(["nan", "-inf", "1e400", "-1e400", "0x10",
+                                   "1_0", "\u0663", "\x00", "e", ""]),
+                  st.text(max_size=6))
+_EXPOSURES = st.one_of(
+    st.tuples(st.lists(_STOP, max_size=5), st.sampled_from([" ", "\n", "\t",
+                                                            "\r\n", "\u2003"]))
+    .map(lambda t: t[1].join(t[0]).encode()),
+    st.binary(max_size=24))
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=_EXPOSURES)
+def test_fuzzed_exposures_load_or_raise_dataset_error(valid_images, blob):
+    sample = valid_images / "sample"
+    if not sample.exists():
+        sample.mkdir()
+        for i in range(3):
+            (sample / f"ldr_{i}.ppm").write_bytes((valid_images / "v.ppm").read_bytes())
+    (sample / "exposures.txt").write_bytes(blob)
+    try:
+        s = _load_sample(sample)
+    except DatasetError as e:
+        assert str(e).startswith(f"{sample}: ")
+        return
+    times = [ldr.exposure_time for ldr in s.ldr]
+    assert all(0.0 < t < np.inf for t in times) and times == sorted(set(times))
 
 
 def write_sample(root, name, h=4, w=4, stops=(-2, 0, 2), with_gt=True, seed=0):

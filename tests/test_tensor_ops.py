@@ -633,3 +633,170 @@ def test_untaped_kernel_keeps_no_graph(name):
         assert out.tape is None
         assert out.parents == ()
         assert out.vjp is None
+
+
+def _retained(out):
+    """The arrays, by base, that a taped output's vjp keeps (in its closure,
+    and in closures and sequences in it) beyond the data the tape holds
+    anyway: the output's own and its parents'."""
+    def root(a):
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        return a
+
+    held = {id(root(t.data)) for t in (out, *out.parents)}
+    found, seen, todo = {}, set(), [out.vjp]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            if id(root(obj)) not in held:
+                found[id(root(obj))] = root(obj)
+        elif isinstance(obj, (list, tuple)):
+            todo.extend(obj)
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            todo.extend(cell.cell_contents for cell in obj.__closure__)
+    return list(found.values())
+
+
+def _probabilities(q, *_):  # window_attention's cases all run 2 heads
+    bw, t, _ = q.shape
+    return bw * 2 * t * t * q.itemsize
+
+
+# bytes a vjp may keep beyond the data the tape holds, from its case inputs;
+# every kernel not named keeps nothing it could rebuild from that data
+VJP_KEEPS = {
+    "window_attention": _probabilities,
+    "softmax": _probabilities,
+    "matmul": _probabilities,
+    # the zero-padded input, and its k tap offsets
+    "deformable_conv2d": lambda x, w, *_: x.itemsize * (
+        x.shape[0] * (x.shape[1] + w.shape[0] - 1) * (x.shape[2] + w.shape[0] - 1)
+        * x.shape[3] + w.shape[0]),
+    "take": lambda x: 5 * np.dtype(np.intp).itemsize,  # the index
+    "clip": lambda x: x.nbytes,  # the in-range mask
+    # the row statistics mu and 1/sigma, one value per row each
+    "layer_norm": lambda x, *_: 2 * x.nbytes // x.shape[-1],
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_vjp_keeps_nothing_it_can_rebuild(name, dtype):
+    ins = _case_inputs(name, dtype)
+    tape = tc.Tape()
+    out = KERNEL_CASES[name][0](*(tape.leaf(a) for a in ins))
+    kept = sum(a.nbytes for a in _retained(out))
+    assert kept <= VJP_KEEPS.get(name, lambda *_: 0)(*ins)
+
+
+# conv2d, layer_norm and leaky_relu as they were when their vjps kept the
+# im2col patches, xhat and the slope mask: the kernels now rebuild these in
+# the backward, from the same inputs with the same operations
+def _conv2d_keeping_patches(x, w, b, dilation=1):
+    xd, wd = tc._data(x), tc._data(w)
+    k = wd.shape[0]
+    bsz, h, wdt, cin = xd.shape
+    cout = wd.shape[3]
+    p = dilation * (k - 1) // 2
+    w2, bd = wd.reshape(k * k * cin, cout), tc._data(b)
+    rows, spans = tc._chunks(h, bsz * wdt * k * k * cin * xd.itemsize,
+                             tc._tape(x, w, b) is not None)
+    patches = np.empty((bsz, rows, wdt, k, k, cin), xd.dtype)
+    out = np.empty((bsz, h, wdt, cout), np.result_type(xd, wd, bd))
+    for lo, hi, at in spans:
+        top, end = max(lo - p, 0), min(hi + p, h)
+        xp = np.zeros((bsz, hi - lo + 2 * p, wdt + 2 * p, cin), xd.dtype)
+        xp[:, top - lo + p:end - lo + p, p:p + wdt] = xd[:, top:end]
+        pc = patches[:, at:at + hi - lo]
+        for ki in range(k):
+            for kj in range(k):
+                y0, x0 = ki * dilation, kj * dilation
+                pc[:, :, :, ki, kj, :] = xp[:, y0:y0 + hi - lo, x0:x0 + wdt, :]
+        out[:, lo:hi] = pc.reshape(bsz, hi - lo, wdt, k * k * cin) @ w2 + bd
+
+    def vjp(g):
+        gw = (patches.reshape(-1, len(w2)).T @ g.reshape(-1, cout)).reshape(wd.shape)
+        gp = (g @ w2.T).reshape(bsz, h, wdt, k, k, cin)
+        gxp = np.zeros((bsz, h + 2 * p, wdt + 2 * p, cin), xd.dtype)
+        for ki in range(k):
+            for kj in range(k):
+                y0, x0 = ki * dilation, kj * dilation
+                gxp[:, y0:y0 + h, x0:x0 + wdt, :] += gp[:, :, :, ki, kj, :]
+        return gxp[:, p:p + h, p:p + wdt, :], gw, g.sum(axis=(0, 1, 2))
+
+    return tc._make(out, (x, w, b), vjp)
+
+
+def _layer_norm_keeping_xhat(x, gamma, beta):
+    xd, gd, bd = tc._data(x), tc._data(gamma), tc._data(beta)
+    mu = xd.mean(axis=-1, keepdims=True)
+    xc = xd - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    xhat = xc * inv
+    out = gd * xhat + bd
+    n = xd.shape[-1]
+    lead = tuple(range(xd.ndim - 1))
+
+    def vjp(g):
+        gxhat = g * gd
+        gx = inv * (gxhat
+                    - gxhat.mean(axis=-1, keepdims=True)
+                    - xhat * (gxhat * xhat).sum(axis=-1, keepdims=True) / n)
+        ggamma = (g * xhat).sum(axis=lead)
+        gbeta = g.sum(axis=lead)
+        return (gx, ggamma, gbeta)
+
+    return tc._make(out, (x, gamma, beta), vjp)
+
+
+def _leaky_relu_keeping_mask(x):
+    xd = tc._data(x)
+    mask = np.where(xd >= 0, xd.dtype.type(1), xd.dtype.type(0.01))
+    return tc._make(xd * mask, (x,), lambda g: (g * mask,))
+
+
+class TestRebuiltInBackward:
+    """The kernels that rebuild what their vjps once kept give the same bits,
+    forward and backward, as their copies above."""
+
+    def check(self, monkeypatch, kernel, before, arrays, chunk_bytes=1 << 40):
+        out = before(*arrays).data
+        g = np.random.default_rng(41).normal(size=out.shape).astype(out.dtype)
+        for a, b in zip(TestChunks.run(monkeypatch, chunk_bytes, kernel, arrays, g),
+                        TestChunks.run(monkeypatch, chunk_bytes, before, arrays, g)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dilation", [1, 2])
+    @pytest.mark.parametrize("chunk_rows", [None, 2])
+    def test_conv2d(self, monkeypatch, dtype, dilation, chunk_rows):
+        rng = np.random.default_rng(42)
+        x, w, b = (rng.normal(size=s).astype(dtype)
+                   for s in [(2, 9, 7, 3), (3, 3, 3, 4), (4,)])
+        row_bytes = 2 * 7 * 27 * x.itemsize
+        # one chunk, or two output rows a chunk: 5 chunks
+        chunk_bytes = chunk_rows * row_bytes if chunk_rows else 1 << 40
+        monkeypatch.setattr(tc, "CHUNK_BYTES", chunk_bytes)
+        assert len(tc._chunks(9, row_bytes)[1]) == (5 if chunk_rows else 1)
+        self.check(monkeypatch, lambda x, w, b: tc.conv2d(x, w, b, dilation),
+                   lambda x, w, b: _conv2d_keeping_patches(x, w, b, dilation),
+                   (x, w, b), chunk_bytes)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layer_norm(self, monkeypatch, dtype):
+        rng = np.random.default_rng(43)
+        x, gamma, beta = (rng.normal(size=s).astype(dtype)
+                          for s in [(2, 5, 6, 16), (16,), (16,)])
+        self.check(monkeypatch, tc.layer_norm, _layer_norm_keeping_xhat,
+                   (x, gamma, beta))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_leaky_relu(self, monkeypatch, dtype):
+        x = np.random.default_rng(44).normal(size=(2, 5, 6, 16)).astype(dtype)
+        x[0, 0, 0, :4] = [0.0, -0.0, np.inf, -np.inf]
+        self.check(monkeypatch, tc.leaky_relu, _leaky_relu_keeping_mask, (x,))
