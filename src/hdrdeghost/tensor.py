@@ -307,7 +307,7 @@ def take(x, idx):
         np.add.at(gx, (slice(None), idx[rest]), g[:, rest])
         return (gx,)
 
-    return _make(xd[:, idx], (x,), vjp)
+    return _make(np.take(xd, idx, axis=1), (x,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -425,15 +425,13 @@ def conv2d(x, w, b, dilation=1):
     w2, bd = wd.reshape(k * k * cin, cout), _data(b)
 
     def gather(lo, hi, buf):
-        """The im2col patches of output rows lo..hi, written into buf and
-        gathered from those rows' zero-padded input rows."""
+        """The im2col patches of output rows lo..hi, written into buf as one
+        strided copy of the windows of those rows' zero-padded input rows."""
         top, end = max(lo - p, 0), min(hi + p, h)
         xp = np.zeros((bsz, hi - lo + 2 * p, wdt + 2 * p, cin), xd.dtype)
         xp[:, top - lo + p:end - lo + p, p:p + wdt] = xd[:, top:end]
-        for ki in range(k):
-            for kj in range(k):
-                y0, x0 = ki * dilation, kj * dilation
-                buf[:, :, :, ki, kj, :] = xp[:, y0:y0 + hi - lo, x0:x0 + wdt, :]
+        win = np.lib.stride_tricks.sliding_window_view(xp, (2 * p + 1,) * 2, (1, 2))
+        buf[...] = win[..., ::dilation, ::dilation].transpose(0, 1, 2, 4, 5, 3)
         return buf.reshape(bsz, hi - lo, wdt, k * k * cin)
 
     # output rows in chunks through one reused buffer, taped or not
@@ -460,8 +458,10 @@ def conv2d(x, w, b, dilation=1):
 
 
 def _lerp_rows(xf, i, t):
-    """Rows i of xf lerped toward rows i + 1 by t: (lerp, right - left)."""
-    left, d = xf[i], xf[i + 1]
+    """Rows i of xf lerped toward rows i + 1 by t: (lerp, right - left).
+    np.take copies each narrow row as one block, where xf[i] runs numpy's
+    general fancy-index loop."""
+    left, d = np.take(xf, i, axis=0), np.take(xf, i + 1, axis=0)
     d -= left
     left += t[:, None] * d
     return left, d

@@ -5,6 +5,7 @@ import sys
 import warnings
 from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -369,6 +370,51 @@ def test_module_entry_point_exits_2_without_traceback(tmp_path):
     assert proc.returncode == EXIT_CONFIG
     assert "error: malformed checkpoint" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+class TestAllocator:
+    """``main`` pins glibc's malloc thresholds; importing the package does not."""
+
+    @staticmethod
+    def argvs(tmp_path):  # one command per exit code: 0, 2 and 1
+        return [["inspect"], ["gradcheck", "--scale", "huge"],
+                ["eval", "--data", str(tmp_path / "none"),
+                 "--checkpoint", str(tmp_path / "none.hdck")]]
+
+    def test_main_calls_mallopt_once_per_threshold_per_call(self, tmp_path,
+                                                            monkeypatch, capsys):
+        calls = []
+        libc = SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)))
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+        for argv in self.argvs(tmp_path):
+            calls.clear()
+            main(argv)
+            assert calls == [(cli.M_MMAP_THRESHOLD, cli.MMAP_THRESHOLD),
+                             (cli.M_TRIM_THRESHOLD, cli.TRIM_THRESHOLD)]
+
+    @pytest.mark.parametrize("libc", ["missing", "no mallopt"])
+    def test_main_runs_without_mallopt(self, tmp_path, monkeypatch, capsys, libc):
+        def cdll(name):
+            if libc == "missing":
+                raise OSError(f"{name}: cannot open shared object file")
+            return SimpleNamespace()
+
+        argvs = self.argvs(tmp_path)
+        want = [main(argv) for argv in argvs]
+        assert want == [EXIT_OK, EXIT_CONFIG, EXIT_IO]
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        assert [main(argv) for argv in argvs] == want
+
+    def test_import_calls_nothing(self):
+        code = ("import ctypes\n"
+                "calls = []\n"
+                "ctypes.CDLL = lambda *a, **k: calls.append(a)\n"
+                "import hdrdeghost, hdrdeghost.cli\n"
+                "assert calls == [], calls\n")
+        src = str(Path(hdrdeghost.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                       timeout=120)
 
 
 class TestThreadEnvDeterminism:

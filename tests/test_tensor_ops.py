@@ -513,6 +513,12 @@ class TestTake:
         np.testing.assert_array_equal(gx, want)
         assert not gx[:, 3].any()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_bytes_match_the_fancy_index(self, dtype):
+        x = np.random.default_rng(18).normal(size=(2, 5, 3)).astype(dtype)
+        out = tc.take(x, self.idx).data
+        assert out.dtype == dtype and out.tobytes() == x[:, self.idx].tobytes()
+
     def test_needs_three_axes(self):
         with pytest.raises(tc.ShapeError, match="B x N x D"):
             tc.take(c(np.zeros((5, 3))), self.idx)
@@ -760,9 +766,78 @@ def _leaky_relu_keeping_mask(x):
     return tc._make(xd * mask, (x,), lambda g: (g * mask,))
 
 
+def _deformable_conv2d_fancy_index(x, w, b, offsets):
+    """deformable_conv2d as it was when it read its corner rows as xf[i]."""
+    xd, wd, od = tc._data(x), tc._data(w), tc._data(offsets)
+    k = wd.shape[0]
+    bsz, h, wdt, cin = xd.shape
+    cout = wd.shape[3]
+    w2, bd = wd.reshape(k * k * cin, cout), tc._data(b)
+    p = (k - 1) // 2
+    hp, wp = h + 2 * p, wdt + 2 * p
+    xf = np.pad(xd, ((0, 0), (p, p), (p, p), (0, 0))).reshape(-1, cin)
+    offs = od.reshape(-1, k, k, 2)
+    taps = np.arange(k, dtype=xd.dtype)
+
+    def coords(lo, hi):
+        bi, yx = np.divmod(np.arange(lo, hi), h * wdt)
+        ys, xs = (a.astype(xd.dtype)[:, None, None] for a in np.divmod(yx, wdt))
+        py_raw = (ys + taps[:, None] + offs[lo:hi, ..., 0]).reshape(-1)
+        px_raw = (xs + taps + offs[lo:hi, ..., 1]).reshape(-1)
+        my = (py_raw > 0) & (py_raw < hp - 1)
+        mx = (px_raw > 0) & (px_raw < wp - 1)
+        py = np.clip(py_raw, 0.0, hp - 1.0)
+        px = np.clip(px_raw, 0.0, wp - 1.0)
+        y0 = np.clip(np.floor(py).astype(np.int64), 0, hp - 2)
+        x0 = np.clip(np.floor(px).astype(np.int64), 0, wp - 2)
+        wy = (py - y0).astype(xd.dtype, copy=False)
+        wx = (px - x0).astype(xd.dtype, copy=False)
+        i00 = (np.repeat(bi * hp, k * k) + y0) * wp + x0
+        return i00, wy, wx, my, mx
+
+    def lerp_rows(i, t):
+        left, d = xf[i], xf[i + 1]
+        d -= left
+        left += t[:, None] * d
+        return left, d
+
+    def sample(i00, wy, wx):
+        top, dx0 = lerp_rows(i00, wx)
+        dvdy, dx1 = lerp_rows(i00 + wp, wx)
+        dvdy -= top
+        top += wy[:, None] * dvdy
+        return top.reshape(-1, k * k * cin), dvdy, dx0, dx1
+
+    out = np.empty((bsz * h * wdt, cout), np.result_type(xd, wd, bd))
+    for lo, hi, _ in tc._chunks(len(out), k * k * cin * xd.itemsize)[1]:
+        out[lo:hi] = sample(*coords(lo, hi)[:3])[0] @ w2 + bd
+
+    def vjp(g):
+        g2 = g.reshape(-1, cout)
+        gs = (g2 @ w2.T).reshape(-1, cin)
+        i00, wy, wx, my, mx = coords(0, len(g2))
+        s, dvdy, dx0, dx1 = sample(i00, wy, wx)
+        gw = (s.T @ g2).reshape(wd.shape)
+        gpy = (gs * dvdy).sum(axis=-1) * my
+        a0 = (gs * dx0).sum(axis=-1)
+        gpx = (a0 + wy * ((gs * dx1).sum(axis=-1) - a0)) * mx
+        n = bsz * hp * wp
+        gxp = np.zeros((n, cin))
+        for d, cw in ((0, (1 - wy) * (1 - wx)), (1, (1 - wy) * wx),
+                      (wp, wy * (1 - wx)), (wp + 1, wy * wx)):
+            for ch in range(cin):
+                gxp[d:, ch] += np.bincount(i00, gs[:, ch] * cw, n - d)
+        gx = gxp.astype(wy.dtype).reshape(bsz, hp, wp, cin)[:, p:p + h, p:p + wdt]
+        goff = np.stack([gpy, gpx], axis=-1).reshape(bsz, h, wdt, -1)
+        return (gx, gw, g.sum(axis=(0, 1, 2)), goff)
+
+    return tc._make(out.reshape(bsz, h, wdt, cout), (x, w, b, offsets), vjp)
+
+
 class TestRebuiltInBackward:
-    """The kernels that rebuild what their vjps once kept give the same bits,
-    forward and backward, as their copies above."""
+    """The kernels that rebuild what their vjps once kept, or gather in one
+    copy what they once gathered piecewise, give the same bits, forward and
+    backward, as their copies above."""
 
     def check(self, monkeypatch, kernel, before, arrays, chunk_bytes=1 << 40):
         out = before(*arrays).data
@@ -800,3 +875,19 @@ class TestRebuiltInBackward:
         x = np.random.default_rng(44).normal(size=(2, 5, 6, 16)).astype(dtype)
         x[0, 0, 0, :4] = [0.0, -0.0, np.inf, -np.inf]
         self.check(monkeypatch, tc.leaky_relu, _leaky_relu_keeping_mask, (x,))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("chunk_pixels", [None, 10])
+    def test_deformable_conv2d(self, monkeypatch, dtype, chunk_pixels):
+        rng = np.random.default_rng(45)
+        x, w, b = (rng.normal(size=s).astype(dtype)
+                   for s in [(2, 6, 7, 3), (3, 3, 3, 4), (4,)])
+        # fractional offsets reaching past both clamp borders of each axis
+        off = rng.uniform(-3.5, 3.5, size=(2, 6, 7, 18)).astype(dtype)
+        row_bytes = 27 * x.itemsize
+        # one chunk, or 10 pixels a chunk: 9 chunks, one spanning both images
+        chunk_bytes = chunk_pixels * row_bytes if chunk_pixels else 1 << 40
+        monkeypatch.setattr(tc, "CHUNK_BYTES", chunk_bytes)
+        assert len(tc._chunks(84, row_bytes)[1]) == (9 if chunk_pixels else 1)
+        self.check(monkeypatch, tc.deformable_conv2d,
+                   _deformable_conv2d_fancy_index, (x, w, b, off), chunk_bytes)
