@@ -149,13 +149,12 @@ def _unbroadcast(g, shape):
     return g
 
 
-def _chunks(n, row_bytes, keep=False):
-    """Spans (lo, hi, at) of range(n), of one row or more and at most
-    CHUNK_BYTES of ``row_bytes`` rows, and the rows of the buffer a span fills
-    from row ``at``: all n to ``keep`` them for a vjp, else one span's, reused."""
+def _chunks(n, row_bytes):
+    """Spans (lo, hi) of range(n), of one row or more and at most CHUNK_BYTES
+    of ``row_bytes`` rows, and the rows of one span's reused buffer."""
     step = max(1, CHUNK_BYTES // max(1, row_bytes))
-    spans = [(lo, min(lo + step, n), lo * keep) for lo in range(0, max(n, 1), step)]
-    return (n if keep else spans[0][1]), spans
+    spans = [(lo, min(lo + step, n)) for lo in range(0, max(n, 1), step)]
+    return spans[0][1], spans
 
 
 def _check_broadcast(a, b):
@@ -358,8 +357,8 @@ def layer_norm(x, gamma, beta):
 def window_attention(q, k, v, heads):
     """Multi-head scaled dot-product attention over the token axis of
     windows x tokens x D inputs. Heads are split from and merged back into
-    the last axis. The backward keeps q, k, v and the probabilities; an
-    untaped call reuses one chunk of windows' score buffer."""
+    the last axis. Taped or not, one reused buffer holds a span of windows'
+    probabilities; the backward keeps only q, k and v and recomputes them."""
     qd, kd, vd = _data(q), _data(k), _data(v)
     if qd.ndim != 3 or not qd.shape == kd.shape == vd.shape:
         raise ShapeError(f"window_attention needs three equal windows x tokens"
@@ -377,24 +376,38 @@ def window_attention(q, k, v, heads):
         return np.transpose(x, (0, 2, 1, 3)).reshape(len(x), t, d)
 
     qh, kh, vh = split(qd), split(kd), split(vd)
-    rows, spans = _chunks(bw, heads * t * t * qd.itemsize, _tape(q, k, v) is not None)
-    y = np.empty((rows, heads, t, t), np.result_type(qd, kd))
-    out = np.empty(qd.shape, np.result_type(y, vd))
-    for lo, hi, at in spans:
-        yc = y[at:at + hi - lo]  # scores, then probabilities, in place
-        np.matmul(qh[lo:hi], np.swapaxes(kh[lo:hi], -1, -2), out=yc)
-        yc *= scale
-        yc -= yc.max(axis=-1, keepdims=True)
-        np.exp(yc, out=yc)
-        yc /= yc.sum(axis=-1, keepdims=True)
-        out[lo:hi] = merge(yc @ vh[lo:hi])
+    rows, spans = _chunks(bw, heads * t * t * qd.itemsize)
+    pt = np.result_type(qd, kd)
+
+    def probs(lo, hi, buf):
+        """Windows lo..hi's probabilities, computed in place in buf."""
+        y = buf[:hi - lo]  # scores, then probabilities
+        np.matmul(qh[lo:hi], np.swapaxes(kh[lo:hi], -1, -2), out=y)
+        y *= scale
+        y -= y.max(axis=-1, keepdims=True)
+        np.exp(y, out=y)
+        y /= y.sum(axis=-1, keepdims=True)
+        return y
+
+    buf = np.empty((rows, heads, t, t), pt)
+    out = np.empty(qd.shape, np.result_type(pt, vd))
+    for lo, hi in spans:
+        out[lo:hi] = merge(probs(lo, hi, buf) @ vh[lo:hi])
 
     def vjp(g):
-        go = split(g)
-        ga = go @ np.swapaxes(vh, -1, -2)
-        gs = y * (ga - (ga * y).sum(axis=-1, keepdims=True)) * scale
-        gk = np.swapaxes(np.swapaxes(qh, -1, -2) @ gs, -1, -2)
-        return merge(gs @ kh), merge(gk), merge(np.swapaxes(y, -1, -2) @ go)
+        buf = np.empty((rows, heads, t, t), pt)
+        gq, gk, gv = (np.empty(qd.shape, np.result_type(pt, vd, g)) for _ in "qkv")
+        for lo, hi in spans:
+            y, go = probs(lo, hi, buf), split(g[lo:hi])
+            # y * (gs - rowsum(gs * y)) * scale, in place, in the same order
+            gs = go @ np.swapaxes(vh[lo:hi], -1, -2)
+            gs -= (gs * y).sum(axis=-1, keepdims=True)
+            gs *= y
+            gs *= scale
+            split(gq)[lo:hi] = gs @ kh[lo:hi]
+            split(gk)[lo:hi] = np.swapaxes(np.swapaxes(qh[lo:hi], -1, -2) @ gs, -1, -2)
+            split(gv)[lo:hi] = np.swapaxes(y, -1, -2) @ go
+        return gq, gk, gv
 
     return _make(out, (q, k, v), vjp)
 
@@ -438,7 +451,7 @@ def conv2d(x, w, b, dilation=1):
     rows, spans = _chunks(h, bsz * wdt * k * k * cin * xd.itemsize)
     buf = np.empty((bsz, rows, wdt, k, k, cin), xd.dtype)
     out = np.empty((bsz, h, wdt, cout), np.result_type(xd, wd, bd))
-    for lo, hi, _ in spans:
+    for lo, hi in spans:
         out[:, lo:hi] = gather(lo, hi, buf[:, :hi - lo]) @ w2 + bd
 
     def vjp(g):
@@ -530,7 +543,7 @@ def deformable_conv2d(x, w, b, offsets):
         return top.reshape(-1, k * k * cin), dvdy, dx0, dx1
 
     out = np.empty((bsz * h * wdt, cout), np.result_type(xd, wd, bd))
-    for lo, hi, _ in _chunks(len(out), k * k * cin * xd.itemsize)[1]:
+    for lo, hi in _chunks(len(out), k * k * cin * xd.itemsize)[1]:
         out[lo:hi] = sample(*coords(lo, hi)[:3])[0] @ w2 + bd
 
     def vjp(g):

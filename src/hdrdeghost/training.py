@@ -3,6 +3,8 @@ synthetic desk-scale dataset generator, and the training loop."""
 from __future__ import annotations
 
 import json
+import resource
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -224,8 +226,9 @@ def _eval_psnr_mu(samples, params, cfg):
 
 def train_loop(dataset, params, cfg: ModelConfig, tcfg: TrainConfig,
                out_dir, log_fn=None):
-    """Seeded mini-batch training; logs line-delimited JSON records and
-    writes checkpoints under out_dir. Returns the final parameters.
+    """Seeded mini-batch training; logs line-delimited JSON records, one per
+    epoch to metrics.jsonl and one per step to steps.jsonl, and writes
+    checkpoints under out_dir. Returns the final parameters.
 
     On KeyboardInterrupt the parameters after the last completed step are
     written to out_dir/checkpoint.hdck before the interrupt propagates."""
@@ -248,13 +251,14 @@ def train_loop(dataset, params, cfg: ModelConfig, tcfg: TrainConfig,
     step = 0
     last_good = dict(params)
     try:
-        with open(log_path, "w") as log:
+        with open(log_path, "w") as log, open(out_dir / "steps.jsonl", "w") as steps:
             for epoch in range(tcfg.epochs):
                 order = rng.permutation(len(patches))
                 for lo in range(0, len(order), tcfg.batch_size):
                     idx = order[lo:lo + tcfg.batch_size]
                     batch = [augment(patches[i], int(rng.integers(0, 8)))
                              for i in idx]
+                    t0 = time.perf_counter()
                     loss, grads = training_step(batch, params, cfg, tcfg)
                     if not np.isfinite(loss):
                         save_checkpoint(ckpt_path, last_good, cfg)
@@ -264,6 +268,14 @@ def train_loop(dataset, params, cfg: ModelConfig, tcfg: TrainConfig,
                     params = adam_step(params, grads, state)
                     last_good = params
                     step += 1
+                    step_s = time.perf_counter() - t0
+                    norm = np.sqrt(sum(np.square(g, dtype=np.float64).sum()
+                                       for g in grads.values()))
+                    kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # Linux: KB
+                    steps.write(json.dumps({
+                        "step": step, "loss": loss, "grad_norm": float(norm),
+                        "step_s": step_s, "peak_rss_mb": kb / 1024}) + "\n")
+                    steps.flush()
                     if tcfg.max_steps and step >= tcfg.max_steps:
                         break
                 psnr_mu = _eval_psnr_mu(val, params, cfg)

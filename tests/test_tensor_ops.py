@@ -309,7 +309,7 @@ class TestWindowAttention:
         np.testing.assert_allclose(out, np.broadcast_to(
             v.mean(axis=1, keepdims=True), v.shape), atol=1e-12)
 
-    def test_vjp_keeps_one_attention_map(self):
+    def test_vjp_keeps_no_attention_map(self):
         bw, heads, t = 3, 2, 4
         tape = tc.Tape()
         rng = np.random.default_rng(20)
@@ -323,7 +323,26 @@ class TestWindowAttention:
                     todo.append(a)
                 elif isinstance(a, np.ndarray):
                     arrays[id(a)] = a.shape
-        assert list(arrays.values()).count((bw, heads, t, t)) == 1
+        assert list(arrays.values()).count((bw, heads, t, t)) == 0
+
+    @pytest.mark.parametrize("windows", [256, 1024])
+    def test_vjp_working_set_is_a_few_chunks(self, windows):
+        rng = np.random.default_rng(21)
+        tape = tc.Tape()
+        out = tc.window_attention(*(tape.leaf(rng.normal(
+            size=(windows, 16, 16)).astype(np.float32)) for _ in range(3)), 2)
+        g = rng.normal(size=out.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            grads = out.vjp(g)
+            peak = (tracemalloc.get_traced_memory()[1] - base
+                    - sum(a.nbytes for a in grads))
+        finally:
+            tracemalloc.stop()
+        # a span's probabilities, its score gradients and one product of the
+        # two; every window's 2 x 16 x 16 probabilities would be 2 or 8 chunks
+        assert peak <= 4 * tc.CHUNK_BYTES
 
     def test_shape_mismatch(self):
         with pytest.raises(tc.ShapeError, match="equal"):
@@ -667,17 +686,9 @@ def _retained(out):
     return list(found.values())
 
 
-def _probabilities(q, *_):  # window_attention's cases all run 2 heads
-    bw, t, _ = q.shape
-    return bw * 2 * t * t * q.itemsize
-
-
 # bytes a vjp may keep beyond the data the tape holds, from its case inputs;
 # every kernel not named keeps nothing it could rebuild from that data
 VJP_KEEPS = {
-    "window_attention": _probabilities,
-    "softmax": _probabilities,
-    "matmul": _probabilities,
     # the zero-padded input, and its k tap offsets
     "deformable_conv2d": lambda x, w, *_: x.itemsize * (
         x.shape[0] * (x.shape[1] + w.shape[0] - 1) * (x.shape[2] + w.shape[0] - 1)
@@ -699,9 +710,18 @@ def test_vjp_keeps_nothing_it_can_rebuild(name, dtype):
     assert kept <= VJP_KEEPS.get(name, lambda *_: 0)(*ins)
 
 
-# conv2d, layer_norm and leaky_relu as they were when their vjps kept the
-# im2col patches, xhat and the slope mask: the kernels now rebuild these in
-# the backward, from the same inputs with the same operations
+def _chunks_keeping(n, row_bytes, keep=False):
+    """tc._chunks as it was when a taped kernel could keep every span's rows:
+    spans (lo, hi, at), and the buffer's rows, all n to ``keep`` them."""
+    step = max(1, tc.CHUNK_BYTES // max(1, row_bytes))
+    spans = [(lo, min(lo + step, n), lo * keep) for lo in range(0, max(n, 1), step)]
+    return (n if keep else spans[0][1]), spans
+
+
+# conv2d, layer_norm, leaky_relu and window_attention as they were when their
+# vjps kept the im2col patches, xhat, the slope mask and the probabilities:
+# the kernels now rebuild these in the backward, from the same inputs with
+# the same operations
 def _conv2d_keeping_patches(x, w, b, dilation=1):
     xd, wd = tc._data(x), tc._data(w)
     k = wd.shape[0]
@@ -709,8 +729,8 @@ def _conv2d_keeping_patches(x, w, b, dilation=1):
     cout = wd.shape[3]
     p = dilation * (k - 1) // 2
     w2, bd = wd.reshape(k * k * cin, cout), tc._data(b)
-    rows, spans = tc._chunks(h, bsz * wdt * k * k * cin * xd.itemsize,
-                             tc._tape(x, w, b) is not None)
+    rows, spans = _chunks_keeping(h, bsz * wdt * k * k * cin * xd.itemsize,
+                                  tc._tape(x, w, b) is not None)
     patches = np.empty((bsz, rows, wdt, k, k, cin), xd.dtype)
     out = np.empty((bsz, h, wdt, cout), np.result_type(xd, wd, bd))
     for lo, hi, at in spans:
@@ -766,6 +786,42 @@ def _leaky_relu_keeping_mask(x):
     return tc._make(xd * mask, (x,), lambda g: (g * mask,))
 
 
+def _window_attention_keeping_probabilities(q, k, v, heads):
+    qd, kd, vd = tc._data(q), tc._data(k), tc._data(v)
+    bw, t, d = qd.shape
+    hd = d // heads
+    scale = float(1.0 / np.sqrt(hd))
+
+    def split(x):
+        return np.transpose(x.reshape(len(x), t, heads, hd), (0, 2, 1, 3))
+
+    def merge(x):
+        return np.transpose(x, (0, 2, 1, 3)).reshape(len(x), t, d)
+
+    qh, kh, vh = split(qd), split(kd), split(vd)
+    rows, spans = _chunks_keeping(bw, heads * t * t * qd.itemsize,
+                                  tc._tape(q, k, v) is not None)
+    y = np.empty((rows, heads, t, t), np.result_type(qd, kd))
+    out = np.empty(qd.shape, np.result_type(y, vd))
+    for lo, hi, at in spans:
+        yc = y[at:at + hi - lo]
+        np.matmul(qh[lo:hi], np.swapaxes(kh[lo:hi], -1, -2), out=yc)
+        yc *= scale
+        yc -= yc.max(axis=-1, keepdims=True)
+        np.exp(yc, out=yc)
+        yc /= yc.sum(axis=-1, keepdims=True)
+        out[lo:hi] = merge(yc @ vh[lo:hi])
+
+    def vjp(g):
+        go = split(g)
+        ga = go @ np.swapaxes(vh, -1, -2)
+        gs = y * (ga - (ga * y).sum(axis=-1, keepdims=True)) * scale
+        gk = np.swapaxes(np.swapaxes(qh, -1, -2) @ gs, -1, -2)
+        return merge(gs @ kh), merge(gk), merge(np.swapaxes(y, -1, -2) @ go)
+
+    return tc._make(out, (q, k, v), vjp)
+
+
 def _deformable_conv2d_fancy_index(x, w, b, offsets):
     """deformable_conv2d as it was when it read its corner rows as xf[i]."""
     xd, wd, od = tc._data(x), tc._data(w), tc._data(offsets)
@@ -809,7 +865,7 @@ def _deformable_conv2d_fancy_index(x, w, b, offsets):
         return top.reshape(-1, k * k * cin), dvdy, dx0, dx1
 
     out = np.empty((bsz * h * wdt, cout), np.result_type(xd, wd, bd))
-    for lo, hi, _ in tc._chunks(len(out), k * k * cin * xd.itemsize)[1]:
+    for lo, hi, _ in _chunks_keeping(len(out), k * k * cin * xd.itemsize)[1]:
         out[lo:hi] = sample(*coords(lo, hi)[:3])[0] @ w2 + bd
 
     def vjp(g):
@@ -891,3 +947,18 @@ class TestRebuiltInBackward:
         assert len(tc._chunks(84, row_bytes)[1]) == (9 if chunk_pixels else 1)
         self.check(monkeypatch, tc.deformable_conv2d,
                    _deformable_conv2d_fancy_index, (x, w, b, off), chunk_bytes)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("heads", [2, 3])
+    @pytest.mark.parametrize("chunk_windows", [None, 2])
+    def test_window_attention(self, monkeypatch, dtype, heads, chunk_windows):
+        rng = np.random.default_rng(46)
+        q, k, v = (rng.normal(size=(7, 9, 12)).astype(dtype) for _ in range(3))
+        row_bytes = heads * 9 * 9 * q.itemsize
+        # one chunk, or two windows a chunk: 4 chunks, the last of one window
+        chunk_bytes = chunk_windows * row_bytes if chunk_windows else 1 << 40
+        monkeypatch.setattr(tc, "CHUNK_BYTES", chunk_bytes)
+        assert len(tc._chunks(7, row_bytes)[1]) == (4 if chunk_windows else 1)
+        self.check(monkeypatch, lambda q, k, v: tc.window_attention(q, k, v, heads),
+                   lambda q, k, v: _window_attention_keeping_probabilities(
+                       q, k, v, heads), (q, k, v), chunk_bytes)

@@ -247,6 +247,21 @@ class TestTrainLoop:
             np.testing.assert_array_equal(
                 back[k], final[k].astype(back[k].dtype))
 
+    def test_writes_one_record_per_step(self, tmp_path):
+        cfg = tiny_preset()
+        tcfg = TrainConfig(batch_size=1, epochs=1, patch=16, stride=16, seed=5,
+                           max_steps=3)
+        train_loop(synth_dataset(3, seed=5, size=16), init_params(cfg, seed=6),
+                   cfg, tcfg, tmp_path)
+        recs = [json.loads(ln) for ln in
+                (tmp_path / "steps.jsonl").read_text().splitlines()]
+        assert [r["step"] for r in recs] == [1, 2, 3]
+        for r in recs:
+            assert set(r) == {"step", "loss", "grad_norm", "step_s", "peak_rss_mb"}
+            assert all(np.isfinite(r[k]) and r[k] > 0 for k in r)
+        peaks = [r["peak_rss_mb"] for r in recs]
+        assert peaks == sorted(peaks)
+
     def test_seeded_runs_identical(self, tmp_path):
         a, _ = self.run(tmp_path / "runB", dtype="f64")
         b, _ = self.run(tmp_path / "runC", dtype="f64")
