@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 from . import codecs, gradcheck, metrics
@@ -80,11 +80,6 @@ def cmd_fuse(args):
 
 def cmd_train(args):
     cfg, tcfg = parse_config(args.config)
-    if args.ablate:
-        flags = {"sar": {"sar": False},
-                 "dt": {"deformable": False},
-                 "both": {"sar": False, "deformable": False}}[args.ablate]
-        cfg = replace(cfg, **flags)
     if args.synthetic:
         dataset = synth_dataset(args.synthetic, seed=tcfg.seed, size=tcfg.patch)
     else:
@@ -116,8 +111,6 @@ def cmd_eval(args):
 
 
 def cmd_gradcheck(args):
-    if args.scale != "tiny":
-        raise ConfigError(f"unsupported scale {args.scale!r} (only 'tiny')")
     if args.ops != "all" and args.ops not in gradcheck.op_names():
         raise ConfigError(f"unknown op {args.ops!r}; choices: all, "
                           + ", ".join(gradcheck.op_names()))
@@ -169,7 +162,6 @@ def build_parser():
                      help="train on N generated samples")
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--ablate", choices=["sar", "dt", "both"])
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
@@ -179,7 +171,6 @@ def build_parser():
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient checks")
-    p.add_argument("--scale", default="tiny")
     p.add_argument("--ops", default="all")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_gradcheck)

@@ -88,8 +88,6 @@ def _op_checks(rng):
         [rng.normal(size=(2, 3, 4)) for _ in range(3)])
     checks["sigmoid"] = (lambda x: tc.sum_(tc.sigmoid(x)), [xx])
     checks["leaky_relu"] = (lambda x: tc.sum_(tc.leaky_relu(x)), [xx])
-    checks["log"] = (
-        lambda x: tc.sum_(tc.log(tc.add_scalar(tc.sigmoid(x), 0.5))), [xx])
     checks["add_mul"] = (
         lambda a, b2: tc.sum_(tc.mul(tc.add(a, b2), b2)), [xx, rng.normal(size=(4, 5))])
     s6 = _weighted(rng, (2, 2))

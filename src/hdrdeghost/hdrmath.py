@@ -6,8 +6,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import tensor as tc
-
 GAMMA = 2.2      # LDR -> radiance: pixels**GAMMA / exposure time
 MU = 5000.0      # mu-law tonemap behind the loss and PSNR-mu
 
@@ -103,9 +101,3 @@ def mu_law(x: np.ndarray) -> np.ndarray:
     xc = np.clip(x, 0.0, 1.0)
     return np.log1p(MU * xc) / float(np.log1p(MU))
 
-
-def mu_law_t(x: tc.Tensor) -> tc.Tensor:
-    """Differentiable mu-law for loss computation (clamps inputs to [0, 1])."""
-    xc = tc.clip(x, 0.0, 1.0)
-    return tc.mul_scalar(tc.log(tc.add_scalar(tc.mul_scalar(xc, MU), 1.0)),
-                         1.0 / np.log1p(MU))

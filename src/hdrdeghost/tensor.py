@@ -187,48 +187,17 @@ def mul(a, b):
     return _make(ad * bd, (a, b), vjp)
 
 
-def sub(a, b):
-    ad, bd = _data(a), _data(b)
-    _check_broadcast(ad, bd)
-
-    def vjp(g):
-        return _unbroadcast(g, ad.shape), _unbroadcast(-g, bd.shape)
-
-    return _make(ad - bd, (a, b), vjp)
-
-
 def mul_scalar(x, c):
     c = float(c)
     return _make(_data(x) * c, (x,), lambda g: (g * c,))
 
 
-def add_scalar(x, c):
-    return _make(_data(x) + float(c), (x,), lambda g: (g,))
-
-
-def log(x):
-    xd = _data(x)
-    return _make(np.log(xd), (x,), lambda g: (g / xd,))
-
-
-def abs_(x):
-    xd = _data(x)
-    return _make(np.abs(xd), (x,), lambda g: (g * np.sign(xd),))
-
-
-def clip(x, lo, hi):
-    xd = _data(x)
-    mask = ((xd > lo) & (xd < hi)).astype(xd.dtype)
-    return _make(np.clip(xd, lo, hi), (x,), lambda g: (g * mask,))
-
-
 def sigmoid(x):
     xd = _data(x)
-    y = np.empty_like(xd)
-    pos = xd >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
-    ex = np.exp(xd[~pos])
-    y[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(xd))  # never overflows: 1 / (1 + e) or e / (1 + e)
+    y = np.where(xd >= 0, 1.0, e)
+    e += 1.0
+    y /= e
     return _make(y, (x,), lambda g: (g * y * (1.0 - y),))
 
 
@@ -249,12 +218,6 @@ def leaky_relu(x):
 def sum_(x):
     xd = _data(x)
     return _make(xd.sum(), (x,), lambda g: (np.broadcast_to(g, xd.shape).copy(),))
-
-
-def mean(x):
-    xd = _data(x)
-    return _make(xd.mean(), (x,),
-                 lambda g: (np.broadcast_to(g / xd.size, xd.shape).copy(),))
 
 
 def global_avg_pool(x):

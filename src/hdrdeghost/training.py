@@ -11,9 +11,10 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as tc
-from .hdrmath import (GAMMA, HdrImage, LdrImage, SampleTriplet, build_input,
-                      mu_law, mu_law_t)
-from .model import ModelConfig, bind_params, forward_from_inputs, save_checkpoint
+from .hdrmath import (GAMMA, MU, HdrImage, LdrImage, SampleTriplet, build_input,
+                      mu_law)
+from .model import (ModelConfig, bind_params, forward_from_inputs, model_forward,
+                    save_checkpoint)
 from .metrics import psnr
 
 
@@ -39,13 +40,27 @@ class TrainConfig:
 
 
 def l1_tonemapped_loss(out: tc.Tensor, gt) -> tc.Tensor:
-    """Mean absolute difference of mu-law tonemapped images."""
+    """Mean absolute difference of mu-law tonemapped images, as one tape node.
+
+    The gradient reaches ``out`` only where the tonemap does not clamp it
+    (0 < out < 1)."""
+    od = out.data
     gt_d = gt.data if isinstance(gt, tc.Tensor) else np.asarray(gt)
-    if out.shape != gt_d.shape:
+    if od.shape != gt_d.shape:
         raise tc.ShapeError(
-            f"loss operands differ in shape: {out.shape} vs {gt_d.shape}")
-    t_gt = tc.constant(mu_law(gt_d))
-    return tc.mean(tc.abs_(tc.sub(mu_law_t(out), t_gt)))
+            f"loss operands differ in shape: {od.shape} vs {gt_d.shape}")
+    d = mu_law(od) - mu_law(gt_d)
+
+    def vjp(g):
+        # the chain rule of mean, abs and log1p(MU * clip(x)) / log1p(MU), one
+        # factor at a time: another order moves the gradients' last bits
+        gx = np.broadcast_to(g / d.size, d.shape) * np.sign(d)
+        gx *= float(1 / np.log1p(MU))
+        gx /= np.clip(od, 0.0, 1.0) * MU + 1.0
+        gx *= MU
+        return (gx * ((od > 0) & (od < 1)),)
+
+    return tc._make(np.abs(d).mean(), (out,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +231,6 @@ def training_step(batch, params, cfg: ModelConfig, tcfg: TrainConfig):
 
 
 def _eval_psnr_mu(samples, params, cfg):
-    from .model import model_forward
     vals = []
     for s in samples:
         out = model_forward(s, params, cfg)
@@ -249,7 +263,6 @@ def train_loop(dataset, params, cfg: ModelConfig, tcfg: TrainConfig,
     rng = np.random.default_rng(tcfg.seed)
     state = AdamState(params, tcfg.lr)
     step = 0
-    last_good = dict(params)
     try:
         with open(log_path, "w") as log, open(out_dir / "steps.jsonl", "w") as steps:
             for epoch in range(tcfg.epochs):
@@ -261,12 +274,11 @@ def train_loop(dataset, params, cfg: ModelConfig, tcfg: TrainConfig,
                     t0 = time.perf_counter()
                     loss, grads = training_step(batch, params, cfg, tcfg)
                     if not np.isfinite(loss):
-                        save_checkpoint(ckpt_path, last_good, cfg)
+                        save_checkpoint(ckpt_path, params, cfg)
                         raise TrainingError(
                             f"non-finite loss at step {step}; last good "
                             f"checkpoint kept at {ckpt_path}")
                     params = adam_step(params, grads, state)
-                    last_good = params
                     step += 1
                     step_s = time.perf_counter() - t0
                     norm = np.sqrt(sum(np.square(g, dtype=np.float64).sum()
@@ -288,8 +300,8 @@ def train_loop(dataset, params, cfg: ModelConfig, tcfg: TrainConfig,
                 if tcfg.max_steps and step >= tcfg.max_steps:
                     break
     except KeyboardInterrupt:
-        # keep the last completed step: its parameters are whole
-        save_checkpoint(ckpt_path, last_good, cfg)
+        # adam_step returns a new dict, so params is the last completed step
+        save_checkpoint(ckpt_path, params, cfg)
         raise
     save_checkpoint(ckpt_path, params, cfg)
     return params

@@ -3,9 +3,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hdrdeghost import tensor as tc
 from hdrdeghost.hdrmath import (HdrImage, LdrImage, SampleTriplet, build_input,
-                                gamma_correct, mu_law, mu_law_t)
+                                gamma_correct, mu_law)
 
 
 def ldr(pixels, t=1.0):
@@ -75,11 +74,6 @@ class TestMuLaw:
             return
         lo, hi = sorted((a, b))
         assert mu_law(np.array(lo)) < mu_law(np.array(hi))
-
-    def test_differentiable_version_matches(self):
-        x = np.random.default_rng(2).uniform(0, 1, size=(4, 4))
-        np.testing.assert_allclose(mu_law_t(tc.constant(x)).data, mu_law(x),
-                                   atol=1e-12)
 
 
 class TestBuildInput:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hdrdeghost import tensor as tc
-from hdrdeghost.hdrmath import HdrImage, LdrImage, SampleTriplet, mu_law
+from hdrdeghost.hdrmath import MU, HdrImage, LdrImage, SampleTriplet, mu_law
 from hdrdeghost.model import init_params, load_checkpoint, tiny_preset
 from hdrdeghost.training import (AdamState, TrainConfig, TrainingError,
                                  adam_step, augment, crop_patches,
@@ -16,9 +16,7 @@ from hdrdeghost.training import (AdamState, TrainConfig, TrainingError,
 class TestLoss:
     def test_identical_images_zero(self):
         x = np.random.default_rng(0).uniform(0, 1, size=(1, 4, 4, 3))
-        # tonemapping runs through two code paths (array vs differentiable),
-        # so allow rounding at the last few ulps
-        assert float(l1_tonemapped_loss(tc.constant(x), x).data) <= 1e-15
+        assert float(l1_tonemapped_loss(tc.constant(x), x).data) == 0.0
 
     def test_black_versus_white_is_one(self):
         z = tc.constant(np.zeros((1, 2, 2, 3)))
@@ -30,7 +28,30 @@ class TestLoss:
         b = rng.uniform(0, 1, size=(2, 3, 3, 3))
         got = float(l1_tonemapped_loss(tc.constant(a), b).data)
         want = float(np.mean(np.abs(mu_law(a) - mu_law(b))))
-        assert got == pytest.approx(want, abs=1e-12)
+        assert got == want
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradient_matches_the_per_op_chain(self, dtype):
+        # outputs below 0, at 0, inside (0, 1), at 1 and above 1
+        rng = np.random.default_rng(4)
+        o = rng.uniform(0, 1, size=(2, 4, 5, 3))
+        o[0, 0, :, 0] = [-0.5, 0.0, 1.0, 1.5, 2.0]
+        o, gt = o.astype(dtype), rng.uniform(0, 1, size=o.shape).astype(dtype)
+        tape = tc.Tape()
+        leaf = tape.leaf(o)
+        got = tc.backward(l1_tonemapped_loss(leaf, gt))[leaf]
+
+        # mean(abs(log(clip(o, 0, 1) * MU + 1) * (1 / log1p(MU)) - mu_law(gt))),
+        # one kernel's vjp after another, from the loss back to o
+        c = float(1.0 / np.log1p(MU))
+        d = np.log(np.clip(o, 0.0, 1.0) * MU + 1.0) * c - mu_law(gt)
+        g = np.broadcast_to(np.ones((), dtype) / d.size, d.shape).copy()  # mean
+        g = g * np.sign(d)                                 # abs
+        g = g * c                                          # scale by 1 / log1p(MU)
+        g = g / (np.clip(o, 0.0, 1.0) * MU + 1.0)          # log
+        g = g * MU                                         # scale by MU
+        g = g * ((o > 0) & (o < 1)).astype(dtype)          # clip
+        assert got.dtype == dtype and got.tobytes() == g.tobytes()
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(tc.ShapeError, match="shape"):
