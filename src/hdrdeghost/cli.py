@@ -119,7 +119,7 @@ def cmd_gradcheck(args):
     for name, (err, tol) in results.items():
         ok = err <= tol
         failed |= not ok
-        print(f"{name:20s} max rel err {err:.3e}  tol {tol:g}  "
+        print(f"{name:24s} max rel err {err:.3e}  tol {tol:g}  "
               f"{'PASS' if ok else 'FAIL'}")
     return EXIT_NUMERIC if failed else EXIT_OK
 

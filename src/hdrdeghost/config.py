@@ -71,9 +71,4 @@ def parse_config(path=None, text=None):
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
 
-    mcfg = _PRESETS[preset](**model_kv)
-    try:
-        tcfg = TrainConfig(**train_kv)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
-    return mcfg, tcfg
+    return _PRESETS[preset](**model_kv), TrainConfig(**train_kv)

@@ -115,12 +115,12 @@ def _op_checks(rng):
     # out; fixed queries and keys leave the probabilities' product with v
     s9 = _weighted(rng, (2, 3, 6))
     onehot = np.tile(np.eye(3), (2, 1, 2))
-    checks["softmax"] = (
+    checks["window_attention/probs"] = (
         lambda q, k: s9(tc.window_attention(q, k, onehot, 2)),
         [rng.normal(size=(2, 3, 6)) for _ in range(2)])
     s10 = _weighted(rng, (2, 3, 6))
     qc, kc = rng.normal(size=(2, 2, 3, 6))
-    checks["matmul"] = (
+    checks["window_attention/values"] = (
         lambda v: s10(tc.window_attention(qc, kc, v, 2)),
         [rng.normal(size=(2, 3, 6))])
     return checks

@@ -37,12 +37,12 @@ class ModelConfig:
     dtype: str = "f32"
 
     def __post_init__(self):
-        if self.embed_dim % self.heads != 0:
-            raise ConfigError(
-                f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
         if min(self.channels, self.embed_dim, self.window, self.heads,
                self.blocks_per_group, self.groups) < 1:
             raise ConfigError("all structural sizes must be >= 1")
+        if self.embed_dim % self.heads != 0:
+            raise ConfigError(
+                f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
         if self.dtype not in tc.DTYPES:
             raise ConfigError(f"dtype must be one of {sorted(tc.DTYPES)}")
 
@@ -264,15 +264,17 @@ def hdt_forward(f_init, p, cfg):
     return tc.sigmoid(tc.conv2d(y, p["tail.out.w"], p["tail.out.b"]))
 
 
-def bind_params(params: dict, tape: tc.Tape) -> dict:
-    return {k: tape.leaf(v, name=k) for k, v in params.items()}
+def bind_params(params: dict, tape: tc.Tape | None = None) -> dict:
+    """The parameters as tensors named by their keys, so that a non-finite
+    kernel output names its parameter; leaves of ``tape``, or untaped."""
+    return {k: tc.Tensor(v, tape=tape, name=k) for k, v in params.items()}
 
 
 def forward_from_inputs(inputs, leaves, cfg):
     """Forward from three 1 x H x W x 6 inputs (arrays or tensors).
 
-    Differentiable when ``leaves`` are bound to a tape; given the raw
-    parameter arrays it builds no graph."""
+    Differentiable when ``leaves`` are bound to a tape; given untaped
+    tensors or the raw parameter arrays it builds no graph."""
     return hdt_forward(head_forward(inputs, leaves, cfg), leaves, cfg)
 
 
@@ -280,12 +282,10 @@ def model_forward(s: SampleTriplet, params: dict, cfg: ModelConfig) -> HdrImage:
     """End-to-end fusion of a triplet into a linear HDR image in [0, 1].
 
     Untaped: each intermediate is freed as soon as the next layer is done
-    with it. A non-finite output raises FloatingPointError."""
+    with it."""
     dt = tc.DTYPES[cfg.dtype]
     inputs = [x.astype(dt) for x in build_input(s)]
-    out = forward_from_inputs(inputs, params, cfg)
-    if not np.all(np.isfinite(out.data)):
-        raise FloatingPointError("non-finite model output")
+    out = forward_from_inputs(inputs, bind_params(params), cfg)
     return HdrImage(pixels=np.asarray(out.data[0], dtype=np.float64))
 
 

@@ -13,8 +13,8 @@ import numpy as np
 from . import tensor as tc
 from .hdrmath import (GAMMA, MU, HdrImage, LdrImage, SampleTriplet, build_input,
                       mu_law)
-from .model import (ModelConfig, bind_params, forward_from_inputs, model_forward,
-                    save_checkpoint)
+from .model import (ConfigError, ModelConfig, bind_params, forward_from_inputs,
+                    model_forward, save_checkpoint)
 from .metrics import psnr
 
 
@@ -33,10 +33,14 @@ class TrainConfig:
     max_steps: int = 0          # 0 = no cap beyond epochs
 
     def __post_init__(self):
+        if min(self.batch_size, self.epochs, self.patch, self.stride) < 1:
+            raise ConfigError("batch_size, epochs, patch and stride must be >= 1")
         if self.stride > self.patch:
-            raise ValueError("stride must not exceed patch size")
-        if self.batch_size < 1 or self.epochs < 1 or self.patch < 1:
-            raise ValueError("batch_size, epochs and patch must be >= 1")
+            raise ConfigError("stride must not exceed patch size")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        if self.max_steps < 0:
+            raise ConfigError(f"max_steps must be >= 0, got {self.max_steps}")
 
 
 def l1_tonemapped_loss(out: tc.Tensor, gt) -> tc.Tensor:
@@ -244,8 +248,9 @@ def train_loop(dataset, params, cfg: ModelConfig, tcfg: TrainConfig,
     epoch to metrics.jsonl and one per step to steps.jsonl, and writes
     checkpoints under out_dir. Returns the final parameters.
 
-    On KeyboardInterrupt the parameters after the last completed step are
-    written to out_dir/checkpoint.hdck before the interrupt propagates."""
+    On KeyboardInterrupt, FloatingPointError or TrainingError the parameters
+    after the last completed step are written to out_dir/checkpoint.hdck
+    before the error propagates; an error's message then ends with that path."""
     dataset = [s for s in dataset if s.ground_truth is not None]
     if not dataset:
         raise TrainingError("training requires samples with ground truth")
@@ -273,11 +278,6 @@ def train_loop(dataset, params, cfg: ModelConfig, tcfg: TrainConfig,
                              for i in idx]
                     t0 = time.perf_counter()
                     loss, grads = training_step(batch, params, cfg, tcfg)
-                    if not np.isfinite(loss):
-                        save_checkpoint(ckpt_path, params, cfg)
-                        raise TrainingError(
-                            f"non-finite loss at step {step}; last good "
-                            f"checkpoint kept at {ckpt_path}")
                     params = adam_step(params, grads, state)
                     step += 1
                     step_s = time.perf_counter() - t0
@@ -299,9 +299,12 @@ def train_loop(dataset, params, cfg: ModelConfig, tcfg: TrainConfig,
                     log_fn(rec)
                 if tcfg.max_steps and step >= tcfg.max_steps:
                     break
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, FloatingPointError, TrainingError) as e:
         # adam_step returns a new dict, so params is the last completed step
         save_checkpoint(ckpt_path, params, cfg)
-        raise
+        if isinstance(e, KeyboardInterrupt):
+            raise
+        raise type(e)(f"{e}; parameters of the last completed step ({step}) "
+                      f"saved to {ckpt_path}") from e
     save_checkpoint(ckpt_path, params, cfg)
     return params

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import hdrdeghost
-from hdrdeghost import cli, model, tensor as tc
+from hdrdeghost import cli, model, training
 from hdrdeghost.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main)
 from hdrdeghost.codecs import read_pfm
 from hdrdeghost.config import parse_config
@@ -64,6 +64,13 @@ class TestParseConfig:
     def test_indivisible_heads_rejected(self):
         with pytest.raises(ConfigError, match="divisible"):
             parse_config(text="heads = 7\n")
+
+    def test_inspect_zero_heads_exits_2_without_traceback(self, tmp_path):
+        conf = tmp_path / "conf.txt"
+        conf.write_text("heads = 0\n")
+        proc = _run_cli(["inspect", "--config", str(conf)])
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr == "error: all structural sizes must be >= 1\n"
 
     def test_unknown_key_reports_line_number(self):
         with pytest.raises(ConfigError, match="line 2"):
@@ -219,6 +226,41 @@ class TestTrain:
         assert "line 8: unknown key 'gamma'" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("line", ["lr = nan", "lr = inf", "lr = -1",
+                                      "max_steps = -5", "heads = 0",
+                                      "stride = 0"])
+    def test_bad_value_exits_2_without_traceback(self, tmp_path, line):
+        conf = tmp_path / "conf.txt"
+        conf.write_text(TINY_CONF + line + "\n")
+        proc = _run_cli(["train", "--synthetic", "2", "--config", str(conf),
+                         "--out", str(tmp_path / "run")])
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "run" / "checkpoint.hdck").exists()
+
+    def test_failed_step_exits_3_and_says_where_it_saved(self, tmp_path,
+                                                         monkeypatch, capsys):
+        step, calls = training.training_step, []
+
+        def third_step_fails(batch, params, *args):
+            calls.append(params)
+            if len(calls) == 3:
+                raise FloatingPointError("non-finite values in conv2d output")
+            return step(batch, params, *args)
+
+        monkeypatch.setattr(training, "training_step", third_step_fails)
+        conf = tmp_path / "conf.txt"
+        conf.write_text(TINY_CONF)
+        out = tmp_path / "run"
+        rc = main(["train", "--synthetic", "3", "--config", str(conf),
+                   "--out", str(out)])
+        assert rc == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite values in conv2d output; ")
+        assert f"saved to {out / 'checkpoint.hdck'}" in err
+        assert (out / "checkpoint.hdck").exists()
+
 
 class TestEval:
     def test_json_and_table_agree(self, tmp_path, checkpoint, capsys):
@@ -256,6 +298,11 @@ class TestEval:
 
 
 class TestNonFinite:
+    """A NaN parameter is caught at the first kernel whose output it reaches,
+    and the message names the kernel and the parameter."""
+
+    MESSAGE = "non-finite values in conv2d output (embed.w)"
+
     @pytest.fixture()
     def nan_checkpoint(self, tmp_path):
         cfg = tiny_preset()
@@ -266,29 +313,17 @@ class TestNonFinite:
         write_sample(tmp_path / "data", "s0", h=16, w=16)
         return path
 
-    @pytest.fixture()
-    def debug_checks(self, monkeypatch):
-        monkeypatch.setattr(tc, "DEBUG_CHECKS", True)
-
-    @pytest.fixture()
-    def no_debug_checks(self, monkeypatch):
-        monkeypatch.setattr(tc, "DEBUG_CHECKS", False)
-
-    def fuse(self, tmp_path, checkpoint, capsys):
+    def test_fuse_exits_3(self, tmp_path, nan_checkpoint, capsys):
         out = tmp_path / "out.pfm"
-        rc = main(["fuse", "--input", str(tmp_path / "data" / "s0"),
-                   "--checkpoint", str(checkpoint), "--output", str(out)])
-        assert not out.exists()
-        return rc, capsys.readouterr().err
-
-    def test_fuse_exits_3(self, tmp_path, nan_checkpoint, debug_checks,
-                          capsys):
-        rc, err = self.fuse(tmp_path, nan_checkpoint, capsys)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["fuse", "--input", str(tmp_path / "data" / "s0"),
+                       "--checkpoint", str(nan_checkpoint), "--output", str(out)])
         assert rc == EXIT_NUMERIC
-        # the embed conv is the first kernel whose output is NaN
-        assert "non-finite values in conv2d output" in err
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {self.MESSAGE}\n"
 
-    def test_taped_step_names_the_parameter(self, debug_checks):
+    def test_taped_step_names_the_parameter(self):
         cfg = tiny_preset()
         params = init_params(cfg, seed=1)
         params["embed.w"] = np.full_like(params["embed.w"], np.nan)
@@ -297,24 +332,13 @@ class TestNonFinite:
                            r"conv2d output \(embed\.w\)$"):
             training_step(batch, params, cfg, TrainConfig(patch=8, stride=8))
 
-    def test_eval_exits_3(self, tmp_path, nan_checkpoint, debug_checks):
-        assert main(["eval", "--data", str(tmp_path / "data"),
-                     "--checkpoint", str(nan_checkpoint)]) == EXIT_NUMERIC
-
-    def test_fuse_exits_3_without_debug_checks(self, tmp_path, nan_checkpoint,
-                                               no_debug_checks, capsys):
-        # NaN flows to the output check silently, with no RuntimeWarning
+    def test_eval_exits_3(self, tmp_path, nan_checkpoint, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            rc, err = self.fuse(tmp_path, nan_checkpoint, capsys)
+            rc = main(["eval", "--data", str(tmp_path / "data"),
+                       "--checkpoint", str(nan_checkpoint)])
         assert rc == EXIT_NUMERIC
-        assert "non-finite model output" in err
-
-    def test_eval_exits_3_without_debug_checks(self, tmp_path, nan_checkpoint,
-                                               no_debug_checks, capsys):
-        assert main(["eval", "--data", str(tmp_path / "data"),
-                     "--checkpoint", str(nan_checkpoint)]) == EXIT_NUMERIC
-        assert "non-finite model output" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {self.MESSAGE}\n"
 
 
 class TestGradcheckCommand:

@@ -34,3 +34,30 @@ def test_runtime_dependencies_are_numpy_only():
     meta = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text())
     deps = meta["project"]["dependencies"]
     assert [re.match(r"[\w.-]+", d).group() for d in deps] == ["numpy"]
+
+
+def _environment_reads(path):
+    """(module, function) of every os.environ or os.getenv in a module."""
+    tree = ast.parse(path.read_text(), str(path))
+    found = []
+
+    def visit(node, func):
+        if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            found.append((path.stem, func))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found.extend((path.stem, func) for a in node.names
+                         if a.name in ("environ", "getenv"))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_the_only_environment_knob_is_hdt_threads():
+    # codecs.max_workers reads HDT_THREADS, which sizes the loader pool
+    reads = [r for p in sorted(PACKAGE.glob("*.py")) for r in _environment_reads(p)]
+    assert reads == [("codecs", "max_workers")]

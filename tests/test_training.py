@@ -1,10 +1,11 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hdrdeghost import tensor as tc
+from hdrdeghost import tensor as tc, training
 from hdrdeghost.hdrmath import MU, HdrImage, LdrImage, SampleTriplet, mu_law
 from hdrdeghost.model import init_params, load_checkpoint, tiny_preset
 from hdrdeghost.training import (AdamState, TrainConfig, TrainingError,
@@ -308,6 +309,33 @@ class TestTrainLoop:
         for k in done:
             assert done[k].dtype == np.float32
             np.testing.assert_array_equal(back[k], done[k])
+
+    @pytest.mark.parametrize("error", [FloatingPointError, TrainingError])
+    def test_failure_saves_the_parameters_the_failed_step_started_from(
+            self, tmp_path, monkeypatch, error):
+        # batch 1 over 3 patches: steps 1 and 2 complete, step 3 fails
+        cfg = tiny_preset()
+        tcfg = TrainConfig(batch_size=1, epochs=1, patch=16, stride=16, seed=5)
+        step, started = training.training_step, []
+
+        def third_step_fails(batch, params, *args):
+            started.append(params)
+            if len(started) == 3:
+                raise error("step 3 failed")
+            return step(batch, params, *args)
+
+        monkeypatch.setattr(training, "training_step", third_step_fails)
+        ckpt = tmp_path / "checkpoint.hdck"
+        with pytest.raises(error, match=r"^step 3 failed; parameters of the last "
+                           rf"completed step \(2\) saved to {re.escape(str(ckpt))}$"):
+            train_loop(synth_dataset(3, seed=5, size=16),
+                       init_params(cfg, seed=6), cfg, tcfg, tmp_path)
+        back, _ = load_checkpoint(ckpt)
+        assert len(started) == 3 and set(back) == set(started[2])
+        for k, v in started[2].items():
+            assert np.isfinite(back[k]).all()
+            np.testing.assert_array_equal(back[k], v)
+        assert any((started[2][k] != started[0][k]).any() for k in back)
 
     def test_requires_ground_truth(self, tmp_path):
         cfg = tiny_preset()
