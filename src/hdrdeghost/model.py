@@ -24,6 +24,13 @@ class ConfigError(ValueError):
     pass
 
 
+# the largest probability map of one window, all heads: window_attention
+# never splits a window across spans, and its backward holds this map, its
+# score gradient and their product at once. 64 MB allows windows up to 40 at
+# the full preset's 6 heads in f32 (the preset's window of 8 takes 96 KB)
+WINDOW_MAP_BYTES = 1 << 26
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     channels: int = 60        # head feature channels C
@@ -45,6 +52,13 @@ class ModelConfig:
                 f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
         if self.dtype not in tc.DTYPES:
             raise ConfigError(f"dtype must be one of {sorted(tc.DTYPES)}")
+        t = self.window * self.window
+        nbytes = self.heads * t * t * np.dtype(tc.DTYPES[self.dtype]).itemsize
+        if nbytes > WINDOW_MAP_BYTES:
+            raise ConfigError(
+                f"window {self.window}: one window's {self.heads} x {t} x {t} "
+                f"attention map takes {nbytes / 2**20:,.0f} MB, above "
+                f"{WINDOW_MAP_BYTES >> 20} MB")
 
     # local-branch channel path D -> D/10 -> D/5 -> 2D/5 -> 2D/5
     @property

@@ -8,6 +8,8 @@ parameter, taped or not) among its inputs.
 """
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
@@ -24,36 +26,70 @@ class ShapeError(ValueError):
 class Tape:
     """Single-use record of a forward computation.
 
-    Tensors created by kernels register themselves on the tape of their
-    inputs; ``backward`` consumes the records in reverse order, freeing
-    each node's graph as it goes, and leaves the tape empty. Kernels whose
-    inputs are all untaped record nothing and keep no graph.
+    Each kernel with a taped input appends one ``Node`` to ``nodes``: its
+    vjp, its parents' nodes and its output's shape, not the output itself.
+    ``backward`` consumes the nodes in reverse order, freeing each one's
+    vjp as it goes, and leaves the tape empty. Kernels whose inputs are all
+    untaped record nothing and keep no graph.
     """
 
     def __init__(self):
         self.nodes = []
-
-    def record(self, t):
-        self.nodes.append(t)
 
     def leaf(self, data, name=None):
         """Wrap a raw array as a differentiable leaf (e.g. a parameter)."""
         return Tensor(data, tape=self, name=name)
 
 
-class Tensor:
-    """Immutable dense float array, optionally recorded on a tape."""
+class Node:
+    """One kernel's (or leaf's) record on a tape.
 
-    def __init__(self, data, tape=None, parents=(), vjp=None, name=None):
+    ``parents`` holds one node per kernel input, None for an untaped one.
+    The output array is held weakly: it lives only while forward code or a
+    vjp closure that reads its values holds it. A leaf's node refers to
+    its tensor weakly too, so a leaf and its node form no reference cycle.
+    """
+    __slots__ = ("vjp", "parents", "shape", "out", "leaf")
+
+    def __init__(self, vjp, parents, data, leaf=None):
+        self.vjp = vjp
+        self.parents = parents
+        self.shape = data.shape
+        self.out = weakref.ref(data)
+        self.leaf = None if leaf is None else weakref.ref(leaf)
+
+    @property
+    def data(self):
+        """The output while it lives; an empty array once it is freed."""
+        data = self.out()
+        return np.empty(0) if data is None else data
+
+
+class Tensor:
+    """Immutable dense float array and, when taped, its node on the tape.
+
+    ``Tensor(data, tape)`` is a leaf of ``tape``; kernels give their taped
+    outputs a node of their own through ``_make``."""
+
+    def __init__(self, data, tape=None, name=None):
         self.data = np.asarray(data)
         if self.data.dtype not in (np.float32, np.float64):
             self.data = self.data.astype(np.float64)
         self.tape = tape
-        self.parents = tuple(parents)
-        self.vjp = vjp
         self.name = name
+        self.node = None
         if tape is not None:
-            tape.record(self)
+            self.node = Node(None, (), self.data, leaf=self)
+            tape.nodes.append(self.node)
+
+    @property
+    def vjp(self):
+        """The node's vjp, None untaped; assignable, so a profiler can wrap it."""
+        return None if self.node is None else self.node.vjp
+
+    @vjp.setter
+    def vjp(self, fn):
+        self.node.vjp = fn
 
     @property
     def shape(self):
@@ -90,22 +126,25 @@ def _make(data, parents, vjp):
         leaf = next((p.name for p in parents if getattr(p, "name", None)), None)
         where = f" ({leaf})" if leaf else ""
         raise FloatingPointError(f"non-finite values in {kernel} output{where}")
-    tape = _tape(*parents)
-    if tape is None:
-        return Tensor(data)
-    # keep vjp outputs aligned with parents: wrap raw arrays as constants
-    parents = tuple(p if isinstance(p, Tensor) else constant(p) for p in parents)
-    return Tensor(data, tape=tape, parents=parents, vjp=vjp)
+    out = Tensor(data)
+    out.tape = _tape(*parents)
+    if out.tape is not None:
+        # one parent node per vjp output; a raw array or untaped input has None
+        out.node = Node(vjp, tuple(getattr(p, "node", None) for p in parents),
+                        out.data)
+        out.tape.nodes.append(out.node)
+    return out
 
 
 def backward(loss):
     """Accumulate gradients of a scalar loss w.r.t. every taped leaf.
 
-    Returns a dict keyed by Tensor identity; look up leaves to read their
-    gradients. Consumes the tape: nodes are popped in reverse recording
-    order, and each node's vjp, parents and gradient are dropped once its
-    vjp has run, so the graph is freed as backward proceeds. A second
-    call on the same tape raises ValueError.
+    Gradients are keyed by node while backward runs; the result is a dict
+    keyed by leaf Tensor, so look up leaves to read their gradients.
+    Consumes the tape: nodes are popped in reverse recording order, and each
+    node's vjp, parents and gradient are dropped once its vjp has run, so
+    the graph is freed as backward proceeds. A second call on the same tape
+    raises ValueError.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -114,27 +153,33 @@ def backward(loss):
     nodes = loss.tape.nodes
     if not nodes:
         raise ValueError("tape already consumed by an earlier backward")
-    grads = {loss: np.ones_like(loss.data)}
+    grads = {loss.node: np.ones_like(loss.data)}
     while nodes:
-        t = nodes.pop()
-        vjp, parents = t.vjp, t.parents
+        n = nodes.pop()
+        vjp, parents = n.vjp, n.parents
         if vjp is None:
             continue
-        t.vjp, t.parents = None, ()
-        g = grads.pop(t, None)
+        n.vjp, n.parents = None, ()
+        g = grads.pop(n, None)
         if g is None:
             continue
         for p, pg in zip(parents, vjp(g)):
-            if pg is None or p.tape is None:
+            if pg is None or p is None:
                 continue
-            if pg.shape != p.data.shape:
+            if pg.shape != p.shape:
                 raise ShapeError(
-                    f"gradient shape {pg.shape} != tensor shape {p.data.shape}")
+                    f"gradient shape {pg.shape} != tensor shape {p.shape}")
             if p in grads:
                 grads[p] = grads[p] + pg
             else:
                 grads[p] = pg
-    return grads
+    # only leaves' gradients are left; a freed leaf cannot be looked up
+    leaves = {}
+    for n, g in grads.items():
+        t = n.leaf and n.leaf()
+        if t is not None:
+            leaves[t] = g
+    return leaves
 
 
 def _unbroadcast(g, shape):
@@ -168,9 +213,10 @@ def _check_broadcast(a, b):
 def add(a, b):
     ad, bd = _data(a), _data(b)
     _check_broadcast(ad, bd)
+    sa, sb = ad.shape, bd.shape
 
     def vjp(g):
-        return _unbroadcast(g, ad.shape), _unbroadcast(g, bd.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return _make(ad + bd, (a, b), vjp)
 
@@ -215,7 +261,8 @@ def leaky_relu(x):
 
 def sum_(x):
     xd = _data(x)
-    return _make(xd.sum(), (x,), lambda g: (np.broadcast_to(g, xd.shape).copy(),))
+    shape = xd.shape
+    return _make(xd.sum(), (x,), lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
 def global_avg_pool(x):
@@ -223,10 +270,11 @@ def global_avg_pool(x):
     xd = _data(x)
     if xd.ndim != 4:
         raise ShapeError(f"global_avg_pool expects BHWC, got ndim {xd.ndim}")
-    _, h, w, _ = xd.shape
+    shape = xd.shape
+    _, h, w, _ = shape
 
     def vjp(g):
-        return (np.broadcast_to(g[:, None, None, :] / (h * w), xd.shape).copy(),)
+        return (np.broadcast_to(g[:, None, None, :] / (h * w), shape).copy(),)
 
     return _make(xd.mean(axis=(1, 2)), (x,), vjp)
 
@@ -236,7 +284,8 @@ def global_avg_pool(x):
 
 def reshape(x, shape):
     xd = _data(x)
-    return _make(xd.reshape(shape), (x,), lambda g: (g.reshape(xd.shape),))
+    old = xd.shape
+    return _make(xd.reshape(shape), (x,), lambda g: (g.reshape(old),))
 
 
 def concat(xs, axis):
@@ -245,8 +294,8 @@ def concat(xs, axis):
     offs = np.cumsum([0] + sizes).tolist()
 
     def vjp(g):
-        return tuple(np.take(g, range(offs[i], offs[i + 1]), axis=axis)
-                     for i in range(len(datas)))
+        return tuple(np.take(g, range(lo, hi), axis=axis)
+                     for lo, hi in zip(offs, offs[1:]))
 
     return _make(np.concatenate(datas, axis=axis), tuple(xs), vjp)
 
@@ -256,11 +305,12 @@ def take(x, idx):
     xd = _data(x)
     if xd.ndim != 3:
         raise ShapeError(f"take expects B x N x D, got ndim {xd.ndim}")
+    shape, dtype = xd.shape, xd.dtype
 
     def vjp(g):
         # one assignment for each row's first occurrence; only the repeats
         # (a padded grid's reflected copies) go through np.add.at
-        gx = np.zeros_like(xd)
+        gx = np.zeros(shape, dtype)
         rows, first = np.unique(idx, return_index=True)
         gx[:, rows] = g[:, first]
         rest = np.delete(np.arange(len(idx)), first)
@@ -295,10 +345,12 @@ def layer_norm(x, gamma, beta):
         raise ShapeError(
             f"layer_norm affine params must have shape ({xd.shape[-1]},)")
     mu = xd.mean(axis=-1, keepdims=True)
-    xc = xd - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    out = xd - mu  # xc, then xc * inv, gd * (xc * inv) and its sum with bd
+    var = (out * out).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + 1e-5)
-    out = gd * (xc * inv) + bd
+    out *= inv
+    out *= gd
+    out += bd
     n = xd.shape[-1]
     lead = tuple(range(xd.ndim - 1))
 
@@ -472,13 +524,14 @@ def deformable_conv2d(x, w, b, offsets):
     xf = np.pad(xd, ((0, 0), (p, p), (p, p), (0, 0))).reshape(-1, cin)
 
     offs = od.reshape(-1, k, k, 2)
-    taps = np.arange(k, dtype=xd.dtype)
+    dt = xd.dtype  # the vjp reads the padded copy, not xd itself
+    taps = np.arange(k, dtype=dt)
 
     def coords(lo, hi):
         """The samples of flat output pixels lo..hi: corner row i00, the
         bilinear weights wy, wx and the in-bounds masks my, mx."""
         bi, yx = np.divmod(np.arange(lo, hi), h * wdt)
-        ys, xs = (a.astype(xd.dtype)[:, None, None] for a in np.divmod(yx, wdt))
+        ys, xs = (a.astype(dt)[:, None, None] for a in np.divmod(yx, wdt))
         py_raw = (ys + taps[:, None] + offs[lo:hi, ..., 0]).reshape(-1)
         px_raw = (xs + taps + offs[lo:hi, ..., 1]).reshape(-1)
         my = (py_raw > 0) & (py_raw < hp - 1)
@@ -489,8 +542,8 @@ def deformable_conv2d(x, w, b, offsets):
             y0 = np.clip(np.floor(py).astype(np.int64), 0, hp - 2)
             x0 = np.clip(np.floor(px).astype(np.int64), 0, wp - 2)
         # int64 corners would promote the weights (and all that follows) to f64
-        wy = (py - y0).astype(xd.dtype, copy=False)
-        wx = (px - x0).astype(xd.dtype, copy=False)
+        wy = (py - y0).astype(dt, copy=False)
+        wx = (px - x0).astype(dt, copy=False)
         i00 = (np.repeat(bi * hp, k * k) + y0) * wp + x0
         return i00, wy, wx, my, mx
 

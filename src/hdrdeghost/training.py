@@ -41,6 +41,8 @@ class TrainConfig:
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if self.max_steps < 0:
             raise ConfigError(f"max_steps must be >= 0, got {self.max_steps}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def l1_tonemapped_loss(out: tc.Tensor, gt) -> tc.Tensor:

@@ -96,7 +96,7 @@ def test_backward_consumes_the_tape():
     loss = tc.sum_(tc.sigmoid(tc.mul(x, x)))
     tc.backward(loss)
     assert tape.nodes == []
-    assert loss.vjp is None and loss.parents == ()
+    assert loss.node.vjp is None and loss.node.parents == ()
 
 
 def test_second_backward_on_a_consumed_tape_raises():

@@ -4,20 +4,22 @@ import shlex
 import subprocess
 import sys
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hdrdeghost
 from hdrdeghost import cli, model, training
 from hdrdeghost.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main)
 from hdrdeghost.codecs import read_pfm
 from hdrdeghost.config import parse_config
-from hdrdeghost.model import (ConfigError, full_preset, init_params,
-                              param_manifest, save_checkpoint, tiny_preset)
+from hdrdeghost.model import (ConfigError, ModelConfig, full_preset,
+                              init_params, param_manifest, save_checkpoint,
+                              tiny_preset)
 from hdrdeghost.training import TrainConfig, synth_dataset, training_step
 
 from test_codecs import write_sample
@@ -32,6 +34,9 @@ TINY_CONF = "\n".join([
     "max_steps = 4",
     "seed = 3",
 ]) + "\n"
+
+
+CONFIG_KEYS = ["preset"] + [f.name for f in fields(ModelConfig) + fields(TrainConfig)]
 
 
 def _run_cli(argv):
@@ -71,6 +76,42 @@ class TestParseConfig:
         proc = _run_cli(["inspect", "--config", str(conf)])
         assert proc.returncode == EXIT_CONFIG
         assert proc.stderr == "error: all structural sizes must be >= 1\n"
+
+    def test_inspect_oversized_window_exits_2_without_traceback(self, tmp_path):
+        # one window's probabilities would take 7.28 TiB at the tiny preset
+        conf = tmp_path / "conf.txt"
+        conf.write_text("preset = tiny\nwindow = 1000\n")
+        proc = _run_cli(["inspect", "--config", str(conf)])
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.startswith("error: window 1000: ")
+        assert "above 64 MB" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("preset,dtype,largest", [
+        ("full", "f32", 40), ("full", "f64", 34), ("tiny", "f32", 53)])
+    def test_window_bound_is_the_one_window_map(self, preset, dtype, largest):
+        def parse(window):
+            return parse_config(
+                text=f"preset = {preset}\ndtype = {dtype}\nwindow = {window}\n")
+
+        assert parse(largest)[0].window == largest
+        with pytest.raises(ConfigError, match="attention map"):
+            parse(largest + 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(CONFIG_KEYS) | st.text(max_size=8),
+        st.one_of(st.integers(-2, 2000).map(str), st.integers().map(str),
+                  st.floats(allow_nan=True, allow_infinity=True).map(str),
+                  st.sampled_from(["true", "no", "f32", "f64", "f16", "tiny",
+                                   "full", "", "1e999", "-0", "0x10"]),
+                  st.text(max_size=8))), max_size=6))
+    def test_any_config_text_parses_or_raises_config_error(self, pairs):
+        text = "".join(f"{k} = {v}\n" for k, v in pairs)
+        try:
+            mcfg, tcfg = parse_config(text=text)
+        except ConfigError:
+            return
+        assert isinstance(mcfg, ModelConfig) and isinstance(tcfg, TrainConfig)
 
     def test_unknown_key_reports_line_number(self):
         with pytest.raises(ConfigError, match="line 2"):
@@ -228,7 +269,8 @@ class TestTrain:
 
     @pytest.mark.parametrize("line", ["lr = nan", "lr = inf", "lr = -1",
                                       "max_steps = -5", "heads = 0",
-                                      "stride = 0"])
+                                      "stride = 0", "window = 1000",
+                                      "seed = -1"])
     def test_bad_value_exits_2_without_traceback(self, tmp_path, line):
         conf = tmp_path / "conf.txt"
         conf.write_text(TINY_CONF + line + "\n")

@@ -15,6 +15,7 @@ from hdrdeghost.model import (CHECKPOINT_MAGIC, CheckpointError, ConfigError,
                               msa, full_preset, param_manifest, param_spec,
                               save_checkpoint, tiny_preset, window_partition,
                               window_reverse)
+from test_tensor_ops import _retained, _root
 
 
 def make_triplet(h=16, w=16, seed=0):
@@ -225,6 +226,27 @@ class TestBody:
         assert len(tape.nodes) > len(params)
         assert taped.data.dtype == tc.DTYPES[dtype]
         np.testing.assert_array_equal(untaped, taped.data[0])
+
+    def test_taped_forward_keeps_only_what_some_vjp_reads(self):
+        # every kernel output still alive is read by a vjp, or is a leaf or
+        # the model output: the tape itself holds no output
+        cfg = full_preset()
+        tape = tc.Tape()
+        leaves = bind_params(init_params(cfg, seed=0), tape)
+        rng = np.random.default_rng(28)
+        ins = [rng.uniform(0, 1, size=(1, 16, 16, 6)).astype(np.float32)
+               for _ in range(3)]
+        out = forward_from_inputs(ins, leaves, cfg)
+        read = {}
+        for node in tape.nodes:
+            read.update(_retained(node.vjp))
+        alive = [n for n in tape.nodes if n.out() is not None
+                 and n.leaf is None and n is not out.node]
+        unread = [n.vjp.__qualname__.split(".")[0] for n in alive
+                  if id(_root(n.out())) not in read]
+        assert len(alive) > 100 and unread == []
+        freed = [n for n in tape.nodes if n.out() is None]
+        assert len(freed) > 100 and all(n.data.size == 0 for n in freed)
 
     @pytest.mark.parametrize("dtype", ["f32", "f64"])
     def test_untaped_matches_taped_across_many_chunks(self, dtype, monkeypatch):

@@ -225,6 +225,25 @@ class TestLayerNorm:
         np.testing.assert_allclose(a, bb, atol=1e-3)
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_untaped_call_holds_two_input_sized_arrays(self, dtype):
+        # the output and the squared deviations: the centring, the scaling
+        # and the affine run in place in the output
+        x = np.random.default_rng(8).normal(size=(64, 64, 60)).astype(dtype)
+        g, b = np.ones(60, dtype), np.zeros(60, dtype)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tc.layer_norm(x, g, b)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # beyond those, the row statistics and their temporaries, and the
+        # reductions' buffers: a few row-sized arrays
+        rows = x.size // x.shape[-1]
+        assert peak <= 2 * x.nbytes + 8 * rows * x.itemsize
+
+
 def _attention_chain(q, k, v, heads):
     """The matmul / mul_scalar / softmax / matmul chain, with its head split
     and merge, that window_attention replaced: the output and a vjp
@@ -653,38 +672,45 @@ def test_untaped_kernel_keeps_no_graph(name):
     for args in ([tc.constant(a) for a in ins], ins):
         out = KERNEL_CASES[name][0](*args)
         assert out.tape is None
-        assert out.parents == ()
+        assert out.node is None
         assert out.vjp is None
 
 
-def _retained(out):
-    """The arrays, by base, that a taped output's vjp keeps (in its closure,
-    and in closures and sequences in it) beyond the data the tape holds
-    anyway: the output's own and its parents'."""
-    def root(a):
-        while isinstance(a.base, np.ndarray):
-            a = a.base
-        return a
+def _root(a):
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
 
-    held = {id(root(t.data)) for t in (out, *out.parents)}
-    found, seen, todo = {}, set(), [out.vjp]
+
+def _retained(vjp):
+    """The arrays, by id of their base, that a vjp keeps: in its closure, and
+    in closures and sequences in it."""
+    found, seen, todo = {}, set(), [vjp]
     while todo:
         obj = todo.pop()
         if id(obj) in seen:
             continue
         seen.add(id(obj))
         if isinstance(obj, np.ndarray):
-            if id(root(obj)) not in held:
-                found[id(root(obj))] = root(obj)
+            found[id(_root(obj))] = _root(obj)
         elif isinstance(obj, (list, tuple)):
             todo.extend(obj)
         elif callable(obj) and getattr(obj, "__closure__", None):
             todo.extend(cell.cell_contents for cell in obj.__closure__)
-    return list(found.values())
+    return found
 
 
-# bytes a vjp may keep beyond the data the tape holds, from its case inputs;
-# every kernel not named keeps nothing it could rebuild from that data
+# the case inputs (by position), or "out", the kernel's own output, whose
+# values each vjp reads and so may keep; a kernel not named reads none: the
+# shape-only vjps keep shapes and dtypes
+VJP_READS = {
+    "mul": (0, 1), "sigmoid": ("out",), "leaky_relu": (0,), "linear": (0, 1),
+    "layer_norm": (0, 1), "window_attention": (0, 1, 2), "softmax": (0, 1),
+    "matmul": (0,), "conv2d": (0, 1), "deformable_conv2d": (1, 3),
+}
+
+# bytes a vjp may keep beyond the arrays it reads, from its case inputs;
+# every kernel not named keeps nothing more
 VJP_KEEPS = {
     # the zero-padded input, and its k tap offsets
     "deformable_conv2d": lambda x, w, *_: x.itemsize * (
@@ -693,6 +719,9 @@ VJP_KEEPS = {
     "take": lambda x: 5 * np.dtype(np.intp).itemsize,  # the index
     # the row statistics mu and 1/sigma, one value per row each
     "layer_norm": lambda x, *_: 2 * x.nbytes // x.shape[-1],
+    # the stages' fixed inputs, made inside the case: values, queries and keys
+    "softmax": lambda q, k: _onehot_values(q).nbytes,
+    "matmul": lambda v: 2 * v.nbytes,
 }
 
 
@@ -701,9 +730,13 @@ VJP_KEEPS = {
 def test_vjp_keeps_nothing_it_can_rebuild(name, dtype):
     ins = _case_inputs(name, dtype)
     tape = tc.Tape()
-    out = KERNEL_CASES[name][0](*(tape.leaf(a) for a in ins))
-    kept = sum(a.nbytes for a in _retained(out))
-    assert kept <= VJP_KEEPS.get(name, lambda *_: 0)(*ins)
+    leaves = [tape.leaf(a) for a in ins]
+    out = KERNEL_CASES[name][0](*leaves)
+    reads = {id(_root((out if i == "out" else leaves[i]).data))
+             for i in VJP_READS.get(name, ())}
+    kept = _retained(out.vjp)
+    extra = sum(a.nbytes for i, a in kept.items() if i not in reads)
+    assert extra <= VJP_KEEPS.get(name, lambda *_: 0)(*ins)
 
 
 def _chunks_keeping(n, row_bytes, keep=False):

@@ -1,5 +1,7 @@
+import gc
 import json
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -236,6 +238,41 @@ class TestTrainingStep:
         assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
         new = adam_step(params, grads, AdamState(params))
         assert {v.dtype for v in new.values()} == {np.dtype(np.float32)}
+
+    def test_step_leaves_no_reference_cycle(self, monkeypatch):
+        # reference counting alone frees a step's graph: with the cycle
+        # collector off, a bound leaf, the model output and an activation
+        # a vjp kept are all gone once the step returns
+        refs = []
+        bind, forward = training.bind_params, training.forward_from_inputs
+
+        def bind_params(params, tape=None):
+            leaves = bind(params, tape)
+            refs.append(weakref.ref(leaves["embed.w"]))
+            return leaves
+
+        def forward_from_inputs(*args):
+            out = forward(*args)
+            nodes = out.tape.nodes
+            kept = next(n for n in nodes[len(nodes) // 2:]
+                        if n.leaf is None and n.out() is not None)
+            refs.extend([weakref.ref(out), out.node.out, kept.out])
+            return out
+
+        monkeypatch.setattr(training, "bind_params", bind_params)
+        monkeypatch.setattr(training, "forward_from_inputs", forward_from_inputs)
+        cfg = tiny_preset()
+        params = init_params(cfg, seed=15)
+        batch = synth_dataset(1, seed=16, size=8)
+        tcfg = TrainConfig(batch_size=1, patch=8, stride=8)
+        gc.collect()
+        gc.disable()
+        try:
+            _, grads = training_step(batch, params, cfg, tcfg)
+            assert len(refs) == 4 and [r() for r in refs] == [None] * 4
+        finally:
+            gc.enable()
+        assert set(grads) == set(params)
 
     def test_deterministic(self):
         cfg = tiny_preset(dtype="f64")
