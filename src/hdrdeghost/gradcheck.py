@@ -28,6 +28,19 @@ def rel_error(analytic, numeric):
     return float(np.abs(analytic - numeric).max() / denom)
 
 
+def central_difference(f, x, i, h=FD_STEP):
+    """Central difference of the scalar ``f()`` in flat entry ``i`` of the
+    float64 array ``x``, which ``f`` reads: the entry is perturbed in place
+    and restored."""
+    orig = x.flat[i]  # x.flat writes through even where reshape would copy
+    x.flat[i] = orig + h
+    fp = f()
+    x.flat[i] = orig - h
+    fm = f()
+    x.flat[i] = orig
+    return (fp - fm) / (2.0 * h)
+
+
 def check_function(build, arrays, h=FD_STEP):
     """Max FD relative error of a scalar tensor function over its inputs.
 
@@ -37,17 +50,16 @@ def check_function(build, arrays, h=FD_STEP):
     tape = tc.Tape()
     leaves = [tape.leaf(a) for a in arrays]
     grads = tc.backward(build(*leaves))
+
+    def f():
+        # untaped: finite differences need values, not a graph
+        return float(build(*arrays).data)
+
     worst = 0.0
-    for i, leaf in enumerate(leaves):
-        grad = grads.get(leaf, np.zeros_like(arrays[i]))
-
-        def f(x, i=i):
-            # untaped: finite differences need values, not a graph
-            return float(build(*[x if j == i else arrays[j]
-                                 for j in range(len(arrays))]).data)
-
-        numeric = tc.finite_difference_grad(f, arrays[i], h)
-        worst = max(worst, rel_error(grad, numeric))
+    for a, leaf in zip(arrays, leaves):
+        numeric = np.array([central_difference(f, a, i, h)
+                            for i in range(a.size)]).reshape(a.shape)
+        worst = max(worst, rel_error(grads.get(leaf, np.zeros_like(a)), numeric))
     return worst
 
 
@@ -158,40 +170,37 @@ def _random_like(params, rng, scale=0.4):
     return _frac_offsets(out, rng)
 
 
+def _check_subset(params, prefix, forward, wsum):
+    """FD check of sum(forward(p) * wsum) over the parameters named
+    ``prefix*``, where ``forward`` maps a parameter dict to an output."""
+    names = sorted(k for k in params if k.startswith(prefix))
+
+    def build(*leaves):
+        return tc.sum_(tc.mul(forward(dict(zip(names, leaves))), wsum))
+
+    return check_function(build, [params[n] for n in names])
+
+
 def check_dt_block(seed=0):
     """FD check of one full dual-transformer block (all its parameters)."""
     cfg = tiny_preset(dtype="f64")
     rng = np.random.default_rng(seed)
     params = _random_like(init_params(cfg, seed), rng)
-    pre = "group0.dt0"
-    block = {k: v for k, v in params.items() if k.startswith(pre)}
-    x = rng.normal(size=(1, 8, 8, cfg.embed_dim))
+    x = tc.constant(rng.normal(size=(1, 8, 8, cfg.embed_dim)))
     wsum = tc.constant(rng.normal(size=x.shape))
-
-    names = sorted(block)
-
-    def build(*leaves):
-        p = dict(zip(names, leaves))
-        return tc.sum_(tc.mul(dt_forward(tc.constant(x), p, pre, cfg, shift=2),
-                              wsum))
-
-    return check_function(build, [block[n] for n in names])
+    return _check_subset(
+        params, "group0.dt0",
+        lambda p: dt_forward(x, p, "group0.dt0", cfg, shift=2), wsum)
 
 
 def check_head(seed=0):
     cfg = tiny_preset(dtype="f64")
     rng = np.random.default_rng(seed)
     params = init_params(cfg, seed)
-    head = {k: v for k, v in params.items() if k.startswith("head.")}
     ins = [tc.constant(rng.uniform(0, 1, size=(1, 6, 6, 6))) for _ in range(3)]
     wsum = tc.constant(rng.normal(size=(1, 6, 6, 4 * cfg.channels)))
-    names = sorted(head)
-
-    def build(*leaves):
-        p = dict(zip(names, leaves))
-        return tc.sum_(tc.mul(head_forward(ins, p, cfg), wsum))
-
-    return check_function(build, [head[n] for n in names])
+    return _check_subset(params, "head.",
+                         lambda p: head_forward(ins, p, cfg), wsum)
 
 
 def check_full_model(seed=0, n_params=200, h=FD_STEP, size=16, cfg=None):
@@ -221,19 +230,12 @@ def check_full_model(seed=0, n_params=200, h=FD_STEP, size=16, cfg=None):
         name = names[rng.integers(len(names))]
         entries.append((name, int(rng.integers(params[name].size))))
 
-    worst = 0.0
-    a_vec, n_vec = [], []
-    for name, flat in entries:
-        arr = params[name].reshape(-1)
-        orig = arr[flat]
-        arr[flat] = orig + h
-        fp = float(loss_value(params).data)
-        arr[flat] = orig - h
-        fm = float(loss_value(params).data)
-        arr[flat] = orig
-        n_vec.append((fp - fm) / (2 * h))
-        a_vec.append(analytic[name].reshape(-1)[flat])
-    return rel_error(np.asarray(a_vec), np.asarray(n_vec))
+    numeric = [central_difference(lambda: float(loss_value(params).data),
+                                  params[name], flat, h)
+               for name, flat in entries]
+    return rel_error(np.asarray([analytic[name].reshape(-1)[flat]
+                                 for name, flat in entries]),
+                     np.asarray(numeric))
 
 
 def run_suite(ops="all", seeds=20, seed=0):

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict, fields, replace
 
 import numpy as np
 
@@ -44,6 +44,12 @@ class ModelConfig:
     dtype: str = "f32"
 
     def __post_init__(self):
+        # exact types: a checkpoint manifest's JSON may hold 8.0, true or "no"
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) is not type(f.default):
+                raise TypeError(f"{f.name} must be {type(f.default).__name__}, "
+                                f"got {value!r}")
         if min(self.channels, self.embed_dim, self.window, self.heads,
                self.blocks_per_group, self.groups) < 1:
             raise ConfigError("all structural sizes must be >= 1")
@@ -59,23 +65,6 @@ class ModelConfig:
                 f"window {self.window}: one window's {self.heads} x {t} x {t} "
                 f"attention map takes {nbytes / 2**20:,.0f} MB, above "
                 f"{WINDOW_MAP_BYTES >> 20} MB")
-
-    # local-branch channel path D -> D/10 -> D/5 -> 2D/5 -> 2D/5
-    @property
-    def local_c1(self):
-        return max(1, self.embed_dim // 10)
-
-    @property
-    def local_c2(self):
-        return max(1, self.embed_dim // 5)
-
-    @property
-    def local_c3(self):
-        return max(1, 2 * self.embed_dim // 5)
-
-    @property
-    def mlp_hidden(self):
-        return 2 * self.embed_dim
 
 
 def full_preset(**overrides) -> ModelConfig:
@@ -117,7 +106,8 @@ def param_spec(cfg: ModelConfig) -> list:
 
     conv("embed", 4 * c, d)
 
-    c1, c2, c3 = cfg.local_c1, cfg.local_c2, cfg.local_c3
+    # local-branch channel path D -> D/10 -> D/5 -> 2D/5 -> 2D/5
+    c1, c2, c3 = max(1, d // 10), max(1, d // 5), max(1, 2 * d // 5)
     for g in range(cfg.groups):
         for n in range(cfg.blocks_per_group):
             pre = f"group{g}.dt{n}"
@@ -125,8 +115,8 @@ def param_spec(cfg: ModelConfig) -> list:
             for proj in ("q", "k", "v", "o"):
                 lin(f"{pre}.msa.{proj}", d, d)
             norm(f"{pre}.ln2", d)
-            lin(f"{pre}.mlp.fc1", d, cfg.mlp_hidden)
-            lin(f"{pre}.mlp.fc2", cfg.mlp_hidden, d)
+            lin(f"{pre}.mlp.fc1", d, 2 * d)
+            lin(f"{pre}.mlp.fc2", 2 * d, d)
             norm(f"{pre}.local.ln", d)
             conv(f"{pre}.local.conv1", d, c1)
             conv(f"{pre}.local.conv2", c1, c2)

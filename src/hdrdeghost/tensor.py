@@ -95,10 +95,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
@@ -584,25 +580,3 @@ def deformable_conv2d(x, w, b, offsets):
 
     return _make(out.reshape(bsz, h, wdt, cout), (x, w, b, offsets), vjp)
 
-
-# ---------------------------------------------------------------------------
-# gradient oracle
-
-def finite_difference_grad(f, x, h=1e-4):
-    """Central-difference gradient of a scalar-valued array function.
-
-    f maps an ndarray to a float; x should be float64 for usable accuracy.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = f(x)
-        flat[i] = orig - h
-        fm = f(x)
-        flat[i] = orig
-        gflat[i] = (fp - fm) / (2.0 * h)
-    return grad

@@ -183,34 +183,28 @@ def synth_dataset(n, seed=0, size=32, motion=True):
 
         gdir = rng.uniform(-1, 1, size=2)
         base = 0.25 + 0.2 * (gdir[0] * yy + gdir[1] * xx)
-        radiance = np.stack([base.copy() for _ in range(3)], axis=2)
-        blobs = []
-        for _ in range(rng.integers(2, 5)):
-            blob_params = (rng.uniform(0.15, 0.85), rng.uniform(0.15, 0.85),
-                    rng.uniform(0.08, 0.2), rng.uniform(0.2, 0.6),
-                    rng.uniform(0.3, 1.0, size=3))
-            blobs.append(blob_params)
+        radiance = np.repeat(base[:, :, None], 3, axis=2)
+        blobs = [(rng.uniform(0.15, 0.85), rng.uniform(0.15, 0.85),
+                  rng.uniform(0.08, 0.2), rng.uniform(0.2, 0.6),
+                  rng.uniform(0.3, 1.0, size=3))
+                 for _ in range(rng.integers(2, 5))]
         for cy, cx, r, amp, col in blobs:
-            for ch in range(3):
-                radiance[:, :, ch] += col[ch] * blob(cy, cx, r, amp)
+            radiance += blob(cy, cx, r, amp)[:, :, None] * col
         radiance = np.clip(radiance, 0.0, None)
         radiance /= max(radiance.max(), 1e-9)
 
-        shift = rng.uniform(-0.06, 0.06, size=2) if motion else (0.0, 0.0)
-        ldr = []
-        for j, t in enumerate(times):
-            rad = radiance
-            if motion and j != 1 and blobs:
-                cy, cx, r, amp, col = blobs[0]
-                moved = radiance.copy()
-                for ch in range(3):
-                    moved[:, :, ch] += col[ch] * (
-                        blob(cy + shift[0], cx + shift[1], r, amp)
-                        - blob(cy, cx, r, amp))
-                rad = np.clip(moved, 0.0, None)
-                rad = rad / max(rad.max(), 1e-9)
-            ldr.append(LdrImage(np.clip((t * rad) ** (1.0 / GAMMA), 0.0, 1.0), t))
-        samples.append(SampleTriplet(ldr=tuple(ldr),
+        moved = radiance  # the non-reference frames' radiance
+        if motion:
+            shift = rng.uniform(-0.06, 0.06, size=2)
+            cy, cx, r, amp, col = blobs[0]
+            moved = np.clip(radiance + (blob(cy + shift[0], cx + shift[1], r, amp)
+                                        - blob(cy, cx, r, amp))[:, :, None] * col,
+                            0.0, None)
+            moved = moved / max(moved.max(), 1e-9)
+        ldr = tuple(LdrImage(np.clip((t * (radiance if j == 1 else moved))
+                                     ** (1.0 / GAMMA), 0.0, 1.0), t)
+                    for j, t in enumerate(times))
+        samples.append(SampleTriplet(ldr=ldr,
                                      ground_truth=HdrImage(radiance),
                                      name=f"synth{i:04d}"))
     return samples

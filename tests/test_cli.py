@@ -436,6 +436,23 @@ def test_module_entry_point_exits_2_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_float_window_checkpoint_exits_2_without_traceback(tmp_path):
+    # the manifest's JSON keeps 4.0 a float, which the window layout's
+    # np.pad rejects with a TypeError if the config lets it through
+    bad = _saved_with_manifest(tmp_path / "bad.hdck",
+                               MALFORMED_MANIFESTS["float_window"])
+    sample = write_sample(tmp_path / "data", "s0", h=16, w=16)
+    out = tmp_path / "out.pfm"
+    for argv in (["fuse", "--input", str(sample), "--checkpoint", str(bad),
+                  "--output", str(out)],
+                 ["inspect", "--checkpoint", str(bad)]):
+        proc = _run_cli(argv)
+        assert proc.returncode == EXIT_CONFIG
+        assert "error: malformed checkpoint" in proc.stderr
+        assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def _readme_commands():
     """Each ``hdrdeghost ...`` line of README's CLI block, continuations joined."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()

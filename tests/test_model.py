@@ -36,8 +36,10 @@ class TestConfig:
             ModelConfig(dtype="f16")
 
     def test_local_channel_path(self):
-        cfg = full_preset()
-        assert (cfg.local_c1, cfg.local_c2, cfg.local_c3) == (6, 12, 24)
+        shapes = {name: shape for name, shape, _ in param_spec(full_preset())}
+        assert [shapes[f"group0.dt0.local.{c}.w"][2:] for c in
+                ("conv1", "conv2", "dconv1", "dconv2")] == [
+            (60, 6), (6, 12), (12, 24), (24, 24)]
 
 
 class TestWindowing:
@@ -329,7 +331,7 @@ def _reference_init_params(cfg, seed=0):
         conv(f"head.att{i}.conv1", 2 * c, c)
         conv(f"head.att{i}.conv2", c, c)
     conv("embed", 4 * c, d)
-    c1, c2, c3 = cfg.local_c1, cfg.local_c2, cfg.local_c3
+    c1, c2, c3 = max(1, d // 10), max(1, d // 5), max(1, 2 * d // 5)
     for g in range(cfg.groups):
         for n in range(cfg.blocks_per_group):
             pre = f"group{g}.dt{n}"
@@ -337,8 +339,8 @@ def _reference_init_params(cfg, seed=0):
             for proj in ("q", "k", "v", "o"):
                 lin(f"{pre}.msa.{proj}", d, d)
             norm(f"{pre}.ln2", d)
-            lin(f"{pre}.mlp.fc1", d, cfg.mlp_hidden)
-            lin(f"{pre}.mlp.fc2", cfg.mlp_hidden, d)
+            lin(f"{pre}.mlp.fc1", d, 2 * d)
+            lin(f"{pre}.mlp.fc2", 2 * d, d)
             norm(f"{pre}.local.ln", d)
             conv(f"{pre}.local.conv1", d, c1)
             conv(f"{pre}.local.conv2", c1, c2)
@@ -502,6 +504,10 @@ MALFORMED_MANIFESTS = {
     "non_integer_channels": lambda m: m["config"].update(channels="eight"),
     "tensor_without_name": lambda m: m["tensors"][0].pop("name"),
     "infinite_shape": lambda m: m["tensors"][0].update(shape=[float("inf")]),
+    "float_window": lambda m: m["config"].update(window=4.0),
+    "float_heads": lambda m: m["config"].update(heads=2.0),
+    "string_sar": lambda m: m["config"].update(sar="no"),
+    "bool_groups": lambda m: m["config"].update(groups=True),
 }
 
 

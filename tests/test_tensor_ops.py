@@ -607,8 +607,8 @@ def _onehot_values(q):
 
 # every kernel once: name -> (build from input tensors, input shapes); inputs
 # are drawn from [0.5, 1.5].
-# "softmax" and "matmul" are window_attention's two stages on their own: the
-# probability map of the scores (one-hot values), and the fixed, here
+# "window_attention/probs" and "/values" are the kernel's two stages on their
+# own: the probability map of the scores (one-hot values), and the fixed, here
 # uniform, probabilities' product with the values (zero queries and keys)
 KERNEL_CASES = {
     "add": (tc.add, [(2, 3), (3,)]),
@@ -625,18 +625,19 @@ KERNEL_CASES = {
     "layer_norm": (tc.layer_norm, [(2, 4), (4,), (4,)]),
     "window_attention": (lambda q, k, v: tc.window_attention(q, k, v, 2),
                          [(3, 4, 6)] * 3),
-    "softmax": (lambda q, k: tc.window_attention(q, k, _onehot_values(q), 2),
-                [(3, 4, 8)] * 2),
-    "matmul": (lambda v: tc.window_attention(np.zeros(v.shape, _dtype(v)),
-                                             np.zeros(v.shape, _dtype(v)), v, 2),
-               [(3, 4, 6)]),
+    "window_attention/probs": (
+        lambda q, k: tc.window_attention(q, k, _onehot_values(q), 2),
+        [(3, 4, 8)] * 2),
+    "window_attention/values": (
+        lambda v: tc.window_attention(np.zeros(v.shape, _dtype(v)),
+                                      np.zeros(v.shape, _dtype(v)), v, 2),
+        [(3, 4, 6)]),
     "conv2d": (lambda x, w, b: tc.conv2d(x, w, b, dilation=2),
                [(1, 5, 5, 2), (3, 3, 2, 3), (3,)]),
     "deformable_conv2d": (tc.deformable_conv2d,
                           [(1, 5, 5, 2), (3, 3, 2, 3), (3,), (1, 5, 5, 18)]),
 }
-NOT_KERNELS = {"backward", "constant", "finite_difference_grad"}
-STAGE_OF = {"softmax": "window_attention", "matmul": "window_attention"}
+NOT_KERNELS = {"backward", "constant"}
 
 
 def _case_inputs(name, dtype):
@@ -649,7 +650,7 @@ def test_kernel_cases_cover_every_kernel():
     public = {n for n, f in vars(tc).items() if callable(f)
               and getattr(f, "__module__", None) == tc.__name__
               and not n.startswith("_") and not isinstance(f, type)}
-    assert ({STAGE_OF.get(k, k.split("/")[0]) for k in KERNEL_CASES}
+    assert ({k.split("/")[0] for k in KERNEL_CASES}
             == public - NOT_KERNELS)
 
 
@@ -705,8 +706,9 @@ def _retained(vjp):
 # shape-only vjps keep shapes and dtypes
 VJP_READS = {
     "mul": (0, 1), "sigmoid": ("out",), "leaky_relu": (0,), "linear": (0, 1),
-    "layer_norm": (0, 1), "window_attention": (0, 1, 2), "softmax": (0, 1),
-    "matmul": (0,), "conv2d": (0, 1), "deformable_conv2d": (1, 3),
+    "layer_norm": (0, 1), "window_attention": (0, 1, 2),
+    "window_attention/probs": (0, 1), "window_attention/values": (0,),
+    "conv2d": (0, 1), "deformable_conv2d": (1, 3),
 }
 
 # bytes a vjp may keep beyond the arrays it reads, from its case inputs;
@@ -720,8 +722,8 @@ VJP_KEEPS = {
     # the row statistics mu and 1/sigma, one value per row each
     "layer_norm": lambda x, *_: 2 * x.nbytes // x.shape[-1],
     # the stages' fixed inputs, made inside the case: values, queries and keys
-    "softmax": lambda q, k: _onehot_values(q).nbytes,
-    "matmul": lambda v: 2 * v.nbytes,
+    "window_attention/probs": lambda q, k: _onehot_values(q).nbytes,
+    "window_attention/values": lambda v: 2 * v.nbytes,
 }
 
 
