@@ -128,7 +128,7 @@ def cmd_inspect(args):
     if args.checkpoint:
         params, cfg = load_checkpoint(args.checkpoint)
     else:
-        cfg, _ = parse_config(args.config) if args.config else parse_config(text="")
+        cfg, _ = parse_config(args.config)
         params = {name: shape for name, shape, _ in param_spec(cfg)}
     print("config:")
     for k, v in asdict(cfg).items():

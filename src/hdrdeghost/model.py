@@ -338,6 +338,8 @@ def _parse_checkpoint(blob):
     dt = tc.DTYPES[cfg.dtype]
     params = {}
     for entry in manifest["tensors"]:
+        if entry["name"] in params:
+            raise CheckpointError(f"tensor {entry['name']} listed twice")
         shape = tuple(entry["shape"])
         if entry.get("dtype", "f32") not in tc.DTYPES:
             raise CheckpointError(

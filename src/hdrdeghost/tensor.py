@@ -26,37 +26,31 @@ class ShapeError(ValueError):
 class Tape:
     """Single-use record of a forward computation.
 
-    Each kernel with a taped input appends one ``Node`` to ``nodes``: its
-    vjp, its parents' nodes and its output's shape, not the output itself.
-    ``backward`` consumes the nodes in reverse order, freeing each one's
-    vjp as it goes, and leaves the tape empty. Kernels whose inputs are all
-    untaped record nothing and keep no graph.
+    Each leaf, and each kernel with a taped input, appends one ``Node`` to
+    ``nodes``: its vjp, its parents' nodes and its output's shape, not the
+    output itself. ``backward`` consumes the nodes in reverse order, freeing
+    each one's vjp as it goes, and leaves the tape empty. Kernels whose
+    inputs are all untaped record nothing and keep no graph.
     """
 
     def __init__(self):
         self.nodes = []
 
-    def leaf(self, data, name=None):
-        """Wrap a raw array as a differentiable leaf (e.g. a parameter)."""
-        return Tensor(data, tape=self, name=name)
-
 
 class Node:
     """One kernel's (or leaf's) record on a tape.
 
-    ``parents`` holds one node per kernel input, None for an untaped one.
-    The output array is held weakly: it lives only while forward code or a
-    vjp closure that reads its values holds it. A leaf's node refers to
-    its tensor weakly too, so a leaf and its node form no reference cycle.
+    ``parents`` holds one node per kernel input, None for an untaped one; a
+    leaf's node has no vjp and no parents. The output array is held weakly:
+    it lives only while forward code or a vjp closure that reads its values
+    holds it. A node refers to no tensor.
     """
-    __slots__ = ("vjp", "parents", "shape", "out", "leaf")
+    __slots__ = ("vjp", "parents", "shape", "out")
 
-    def __init__(self, vjp, parents, data, leaf=None):
-        self.vjp = vjp
-        self.parents = parents
+    def __init__(self, data):
+        self.vjp, self.parents = None, ()  # a kernel's node gets both in _make
         self.shape = data.shape
         self.out = weakref.ref(data)
-        self.leaf = None if leaf is None else weakref.ref(leaf)
 
     @property
     def data(self):
@@ -68,8 +62,8 @@ class Node:
 class Tensor:
     """Immutable dense float array and, when taped, its node on the tape.
 
-    ``Tensor(data, tape)`` is a leaf of ``tape``; kernels give their taped
-    outputs a node of their own through ``_make``."""
+    ``Tensor(data, tape)`` is a leaf of ``tape``, ``Tensor(data)`` untaped;
+    ``_make`` gives a kernel's taped output's node its vjp and parents."""
 
     def __init__(self, data, tape=None, name=None):
         self.data = np.asarray(data)
@@ -79,7 +73,7 @@ class Tensor:
         self.name = name
         self.node = None
         if tape is not None:
-            self.node = Node(None, (), self.data, leaf=self)
+            self.node = Node(self.data)
             tape.nodes.append(self.node)
 
     @property
@@ -97,11 +91,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
-
-
-def constant(data):
-    """A tensor that participates in kernels but receives no gradient."""
-    return Tensor(data)
 
 
 def _data(x):
@@ -122,25 +111,23 @@ def _make(data, parents, vjp):
         leaf = next((p.name for p in parents if getattr(p, "name", None)), None)
         where = f" ({leaf})" if leaf else ""
         raise FloatingPointError(f"non-finite values in {kernel} output{where}")
-    out = Tensor(data)
-    out.tape = _tape(*parents)
-    if out.tape is not None:
+    out = Tensor(data, _tape(*parents))
+    if out.node is not None:
         # one parent node per vjp output; a raw array or untaped input has None
-        out.node = Node(vjp, tuple(getattr(p, "node", None) for p in parents),
-                        out.data)
-        out.tape.nodes.append(out.node)
+        out.node.vjp = vjp
+        out.node.parents = tuple(getattr(p, "node", None) for p in parents)
     return out
 
 
-def backward(loss):
-    """Accumulate gradients of a scalar loss w.r.t. every taped leaf.
+def backward(loss, leaves):
+    """Gradients of a scalar loss w.r.t. ``leaves`` (a list or dict view of
+    leaf tensors), as a list in their order; a leaf the loss does not reach
+    gets zeros of its shape and dtype.
 
-    Gradients are keyed by node while backward runs; the result is a dict
-    keyed by leaf Tensor, so look up leaves to read their gradients.
     Consumes the tape: nodes are popped in reverse recording order, and each
     node's vjp, parents and gradient are dropped once its vjp has run, so
-    the graph is freed as backward proceeds. A second call on the same tape
-    raises ValueError.
+    the graph is freed as backward proceeds. A second call on the same tape,
+    or an entry of ``leaves`` that is not a leaf of it, raises ValueError.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -149,6 +136,8 @@ def backward(loss):
     nodes = loss.tape.nodes
     if not nodes:
         raise ValueError("tape already consumed by an earlier backward")
+    if any(getattr(t, "tape", None) is not loss.tape or t.node.vjp for t in leaves):
+        raise ValueError("backward's leaves must be leaves of the loss's tape")
     grads = {loss.node: np.ones_like(loss.data)}
     while nodes:
         n = nodes.pop()
@@ -169,13 +158,7 @@ def backward(loss):
                 grads[p] = grads[p] + pg
             else:
                 grads[p] = pg
-    # only leaves' gradients are left; a freed leaf cannot be looked up
-    leaves = {}
-    for n, g in grads.items():
-        t = n.leaf and n.leaf()
-        if t is not None:
-            leaves[t] = g
-    return leaves
+    return [grads.get(t.node, np.zeros_like(t.data)) for t in leaves]
 
 
 def _unbroadcast(g, shape):
@@ -515,17 +498,18 @@ def deformable_conv2d(x, w, b, offsets):
 
     p = (k - 1) // 2
     hp, wp = h + 2 * p, wdt + 2 * p
-    # the padded input as (B*hp*wp) x Cin rows: a sample's four corners are
-    # rows i00, i00 + 1, i00 + wp and i00 + wp + 1
-    xf = np.pad(xd, ((0, 0), (p, p), (p, p), (0, 0))).reshape(-1, cin)
-
     offs = od.reshape(-1, k, k, 2)
-    dt = xd.dtype  # the vjp reads the padded copy, not xd itself
-    taps = np.arange(k, dtype=dt)
+    dt = xd.dtype
+
+    def padded():  # the vjp keeps xd and pads it again
+        """The padded input as (B*hp*wp) x Cin rows: a sample's four corners
+        are rows i00, i00 + 1, i00 + wp and i00 + wp + 1."""
+        return np.pad(xd, ((0, 0), (p, p), (p, p), (0, 0))).reshape(-1, cin)
 
     def coords(lo, hi):
         """The samples of flat output pixels lo..hi: corner row i00, the
         bilinear weights wy, wx and the in-bounds masks my, mx."""
+        taps = np.arange(k, dtype=dt)
         bi, yx = np.divmod(np.arange(lo, hi), h * wdt)
         ys, xs = (a.astype(dt)[:, None, None] for a in np.divmod(yx, wdt))
         py_raw = (ys + taps[:, None] + offs[lo:hi, ..., 0]).reshape(-1)
@@ -543,18 +527,19 @@ def deformable_conv2d(x, w, b, offsets):
         i00 = (np.repeat(bi * hp, k * k) + y0) * wp + x0
         return i00, wy, wx, my, mx
 
-    def sample(i00, wy, wx):
-        """(pixels) x (k*k*Cin) bilinear samples, two lerps along x and one
-        along y, with dv/dy and the x-differences of both corner rows."""
+    def sample(xf, i00, wy, wx):
+        """(pixels) x (k*k*Cin) bilinear samples of padded rows xf, two lerps
+        along x and one along y, with dv/dy and both corner rows' x-steps."""
         top, dx0 = _lerp_rows(xf, i00, wx)
         dvdy, dx1 = _lerp_rows(xf, i00 + wp, wx)
         dvdy -= top
         top += wy[:, None] * dvdy
         return top.reshape(-1, k * k * cin), dvdy, dx0, dx1
 
+    xf = padded()
     out = np.empty((bsz * h * wdt, cout), np.result_type(xd, wd, bd))
     for lo, hi in _chunks(len(out), k * k * cin * xd.itemsize)[1]:
-        out[lo:hi] = sample(*coords(lo, hi)[:3])[0] @ w2 + bd
+        out[lo:hi] = sample(xf, *coords(lo, hi)[:3])[0] @ w2 + bd
 
     def vjp(g):
         # coordinates and corners are computed again: kept, they would hold
@@ -562,7 +547,7 @@ def deformable_conv2d(x, w, b, offsets):
         g2 = g.reshape(-1, cout)
         gs = (g2 @ w2.T).reshape(-1, cin)
         i00, wy, wx, my, mx = coords(0, len(g2))
-        s, dvdy, dx0, dx1 = sample(i00, wy, wx)
+        s, dvdy, dx0, dx1 = sample(padded(), i00, wy, wx)
         gw = (s.T @ g2).reshape(wd.shape)
         gpy = (gs * dvdy).sum(axis=-1) * my
         a0 = (gs * dx0).sum(axis=-1)  # dv/dx is dx0 lerped toward dx1 by wy

@@ -225,9 +225,7 @@ def training_step(batch, params, cfg: ModelConfig, tcfg: TrainConfig):
     gt = np.stack([s.ground_truth.pixels for s in batch], axis=0).astype(dt)
     out = forward_from_inputs(ins, leaves, cfg)
     loss = l1_tonemapped_loss(out, gt)
-    grads = tc.backward(loss)
-    gdict = {k: grads[leaf] for k, leaf in leaves.items() if leaf in grads}
-    return float(loss.data), gdict
+    return float(loss.data), dict(zip(leaves, tc.backward(loss, leaves.values())))
 
 
 def _eval_psnr_mu(samples, params, cfg):

@@ -55,22 +55,22 @@ def test_criterion_02_deformable_equivalence():
         co = int(rng.integers(1, 4))
         h = int(rng.integers(5, 10))
         w = int(rng.integers(5, 10))
-        x = tc.constant(rng.normal(size=(1, h, w, c)))
-        wt = tc.constant(rng.normal(size=(3, 3, c, co)))
-        b = tc.constant(rng.normal(size=co))
-        off = tc.constant(np.zeros((1, h, w, 18)))
+        x = tc.Tensor(rng.normal(size=(1, h, w, c)))
+        wt = tc.Tensor(rng.normal(size=(3, 3, c, co)))
+        b = tc.Tensor(rng.normal(size=co))
+        off = tc.Tensor(np.zeros((1, h, w, 18)))
         d = tc.deformable_conv2d(x, wt, b, off).data
         r = tc.conv2d(x, wt, b).data
         worst_zero = max(worst_zero, float(np.abs(d - r).max()))
 
     # integer offsets: every tap shifted one pixel down must equal the plain
     # conv evaluated one row lower, away from the padded border
-    x = tc.constant(rng.normal(size=(1, 10, 10, 2)))
-    wt = tc.constant(rng.normal(size=(3, 3, 2, 3)))
-    b = tc.constant(rng.normal(size=3))
+    x = tc.Tensor(rng.normal(size=(1, 10, 10, 2)))
+    wt = tc.Tensor(rng.normal(size=(3, 3, 2, 3)))
+    b = tc.Tensor(rng.normal(size=3))
     off_np = np.zeros((1, 10, 10, 18))
     off_np[..., 0::2] = 1.0  # (dy, dx) pairs: dy = 1 for all nine taps
-    d = tc.deformable_conv2d(x, wt, b, tc.constant(off_np)).data
+    d = tc.deformable_conv2d(x, wt, b, tc.Tensor(off_np)).data
     r = tc.conv2d(x, wt, b).data
     worst_int = float(np.abs(d[0, 2:-2, 2:-2] - r[0, 3:-1, 2:-2]).max())
 
@@ -96,13 +96,13 @@ def test_criterion_03_tonemap_and_gamma_exactness():
 
 def test_criterion_04_reference_gating_algebra():
     rng = np.random.default_rng(1)
-    f2 = tc.constant(rng.normal(size=(1, 6, 6, 8)))
-    m = tc.constant(rng.uniform(0, 1, size=(1, 6, 6, 8)))
+    f2 = tc.Tensor(rng.normal(size=(1, 6, 6, 8)))
+    m = tc.Tensor(rng.uniform(0, 1, size=(1, 6, 6, 8)))
     symmetric = np.array_equal(sar(f2, m, m).data, f2.data * m.data)
 
     cfg = tiny_preset(dtype="f64", sar=False)
-    params = {k: tc.constant(v) for k, v in init_params(cfg, seed=2).items()}
-    ins = [tc.constant(rng.uniform(0, 1, size=(1, 8, 8, 6))) for _ in range(3)]
+    params = {k: tc.Tensor(v) for k, v in init_params(cfg, seed=2).items()}
+    ins = [tc.Tensor(rng.uniform(0, 1, size=(1, 8, 8, 6))) for _ in range(3)]
     out = head_forward(ins, params, cfg).data
     from hdrdeghost.head import extract_shallow
     f_ref = extract_shallow(ins[1], params).data
@@ -122,17 +122,17 @@ def test_criterion_05_window_round_trip():
         w = int(rng.integers(1, 24))
         d = int(rng.integers(1, 5))
         window = int(rng.integers(2, 7))
-        x = tc.constant(rng.normal(size=(b, h, w, d)))
+        x = tc.Tensor(rng.normal(size=(b, h, w, d)))
         for shift in (0, window // 2):
             tok, info = window_partition(x, window, shift)
             back = window_reverse(tok, info)
             ok &= np.array_equal(back.data, x.data)
 
     # shifted partition == roll, then unshifted partition (no padding needed)
-    x = tc.constant(rng.normal(size=(2, 12, 8, 3)))
+    x = tc.Tensor(rng.normal(size=(2, 12, 8, 3)))
     a, _ = window_partition(x, 4, shift=2)
     b_, _ = window_partition(
-        tc.constant(np.roll(x.data, (-2, -2), axis=(1, 2))), 4, shift=0)
+        tc.Tensor(np.roll(x.data, (-2, -2), axis=(1, 2))), 4, shift=0)
     ok &= np.array_equal(a.data, b_.data)
     verdict(5, "window partition/reverse is a bit-exact round trip on 200 "
                "random shapes; shifted form equals roll + plain form", ok)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hdrdeghost
-from hdrdeghost import cli, model, training
+from hdrdeghost import cli, gradcheck, model, training
 from hdrdeghost.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main)
 from hdrdeghost.codecs import read_pfm
 from hdrdeghost.config import parse_config
@@ -393,6 +393,18 @@ class TestGradcheckCommand:
     def test_unknown_op_exits_2(self, capsys):
         rc = main(["gradcheck", "--ops", "wibble"])
         assert rc == EXIT_CONFIG
+
+    def test_seed_selects_the_kernel_draws(self, capsys):
+        outs = []
+        for seed in ("0", "5"):
+            assert main(["gradcheck", "--ops", "sigmoid", "--seed", seed]) == EXIT_OK
+            outs.append(capsys.readouterr().out)
+        assert outs[0] != outs[1]
+        # seed 0 draws RNG seeds 1000-1019, as before --seed reached the kernels
+        want = max(gradcheck.check_function(
+            *gradcheck._op_checks(np.random.default_rng(1000 + i))["sigmoid"])
+            for i in range(20))
+        assert f"max rel err {want:.3e}" in outs[0]
 
 
 class TestInspect:

@@ -17,11 +17,11 @@ def params(cfg):
 
 
 def leaves(params):
-    return {k: tc.constant(v) for k, v in params.items()}
+    return {k: tc.Tensor(v) for k, v in params.items()}
 
 
 def rand_input(seed, h=8, w=8, ch=6):
-    return tc.constant(np.random.default_rng(seed).uniform(0, 1, size=(1, h, w, ch)))
+    return tc.Tensor(np.random.default_rng(seed).uniform(0, 1, size=(1, h, w, ch)))
 
 
 class TestExtractShallow:
@@ -30,7 +30,7 @@ class TestExtractShallow:
         assert out.shape == (1, 8, 8, cfg.channels)
 
     def test_zero_input_zero_bias_gives_zero(self, params, cfg):
-        out = extract_shallow(tc.constant(np.zeros((1, 4, 4, 6))),
+        out = extract_shallow(tc.Tensor(np.zeros((1, 4, 4, 6))),
                               leaves(params))
         np.testing.assert_array_equal(out.data, 0.0)  # init biases are zero
 
@@ -59,8 +59,8 @@ class TestSpatialAttention:
     def test_matches_composition_oracle(self, params, cfg):
         p = leaves(params)
         rng = np.random.default_rng(6)
-        f1 = tc.constant(rng.normal(size=(1, 6, 6, cfg.channels)))
-        f2 = tc.constant(rng.normal(size=(1, 6, 6, cfg.channels)))
+        f1 = tc.Tensor(rng.normal(size=(1, 6, 6, cfg.channels)))
+        f2 = tc.Tensor(rng.normal(size=(1, 6, 6, cfg.channels)))
         m = spatial_attention(f1, f2, p, 1).data
         z = tc.concat([f1, f2], axis=3)
         a = tc.leaky_relu(tc.conv2d(z, p["head.att1.conv1.w"],
@@ -72,8 +72,8 @@ class TestSpatialAttention:
     def test_shape_mismatch(self, params, cfg):
         p = leaves(params)
         with pytest.raises(tc.ShapeError):
-            spatial_attention(tc.constant(np.zeros((1, 4, 4, 8))),
-                              tc.constant(np.zeros((1, 5, 5, 8))),
+            spatial_attention(tc.Tensor(np.zeros((1, 4, 4, 8))),
+                              tc.Tensor(np.zeros((1, 5, 5, 8))),
                               p, 1)
 
 
@@ -82,15 +82,15 @@ class TestGating:
 
     def setup_method(self):
         rng = np.random.default_rng(7)
-        self.f = tc.constant(rng.normal(size=(1, 5, 5, 4)))
-        self.m = tc.constant(rng.uniform(0, 1, size=(1, 5, 5, 4)))
+        self.f = tc.Tensor(rng.normal(size=(1, 5, 5, 4)))
+        self.m = tc.Tensor(rng.uniform(0, 1, size=(1, 5, 5, 4)))
 
     def test_unit_map_is_identity(self):
-        out = tc.mul(self.f, tc.constant(np.ones((1, 5, 5, 4))))
+        out = tc.mul(self.f, tc.Tensor(np.ones((1, 5, 5, 4))))
         np.testing.assert_array_equal(out.data, self.f.data)
 
     def test_zero_map_gives_zeros(self):
-        out = tc.mul(self.f, tc.constant(np.zeros((1, 5, 5, 4))))
+        out = tc.mul(self.f, tc.Tensor(np.zeros((1, 5, 5, 4))))
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_elementwise_product_oracle(self):
@@ -105,20 +105,20 @@ class TestGating:
 class TestSar:
     def setup_method(self):
         rng = np.random.default_rng(8)
-        self.f2 = tc.constant(rng.normal(size=(1, 5, 5, 4)))
-        self.m = tc.constant(rng.uniform(0, 1, size=(1, 5, 5, 4)))
+        self.f2 = tc.Tensor(rng.normal(size=(1, 5, 5, 4)))
+        self.m = tc.Tensor(rng.uniform(0, 1, size=(1, 5, 5, 4)))
 
     def test_equal_maps_reduce_to_single_gate(self):
         out = sar(self.f2, self.m, self.m).data
         np.testing.assert_array_equal(out, (self.f2.data * self.m.data))
 
     def test_unit_maps_are_identity(self):
-        ones = tc.constant(np.ones((1, 5, 5, 4)))
+        ones = tc.Tensor(np.ones((1, 5, 5, 4)))
         np.testing.assert_array_equal(sar(self.f2, ones, ones).data, self.f2.data)
 
     def test_half_gate(self):
-        ones = tc.constant(np.ones((1, 5, 5, 4)))
-        zeros = tc.constant(np.zeros((1, 5, 5, 4)))
+        ones = tc.Tensor(np.ones((1, 5, 5, 4)))
+        zeros = tc.Tensor(np.zeros((1, 5, 5, 4)))
         np.testing.assert_array_equal(sar(self.f2, ones, zeros).data,
                                       self.f2.data / 2.0)
 

@@ -44,7 +44,7 @@ class TestConfig:
 
 class TestWindowing:
     def roll_oracle(self, shape, window, shift, seed):
-        x = tc.constant(np.random.default_rng(seed).normal(size=shape))
+        x = tc.Tensor(np.random.default_rng(seed).normal(size=shape))
         tokens, info = window_partition(x, window, shift)
         back = window_reverse(tokens, info)
         np.testing.assert_array_equal(back.data, x.data)
@@ -73,14 +73,14 @@ class TestWindowing:
     def test_shift_equals_roll_then_plain_partition(self):
         # on window-multiple grids (no padding) the shifted partition must
         # equal partitioning a cyclically rolled copy, bit for bit
-        x = tc.constant(np.random.default_rng(12).normal(size=(1, 8, 12, 5)))
+        x = tc.Tensor(np.random.default_rng(12).normal(size=(1, 8, 12, 5)))
         shifted, _ = window_partition(x, 4, shift=2)
-        rolled = tc.constant(np.roll(x.data, (-2, -2), axis=(1, 2)))
+        rolled = tc.Tensor(np.roll(x.data, (-2, -2), axis=(1, 2)))
         plain, _ = window_partition(rolled, 4, shift=0)
         np.testing.assert_array_equal(shifted.data, plain.data)
 
     def test_token_count_and_order(self):
-        x = tc.constant(np.arange(16.0).reshape(1, 4, 4, 1))
+        x = tc.Tensor(np.arange(16.0).reshape(1, 4, 4, 1))
         tokens, _ = window_partition(x, 2, 0)
         assert tokens.shape == (4, 4, 1)
         # first window is the top-left 2x2 block in row-major order
@@ -88,7 +88,8 @@ class TestWindowing:
 
     def test_padded_shifted_round_trip_is_one_take_each_way(self):
         tape = tc.Tape()
-        x = tape.leaf(np.random.default_rng(13).normal(size=(2, 7, 9, 3)))
+        x = tc.Tensor(np.random.default_rng(13).normal(size=(2, 7, 9, 3)),
+                      tape)
         tokens, info = window_partition(x, 4, shift=2)
         window_reverse(tokens, info)
         kernels = [t.vjp.__qualname__.split(".")[0] for t in tape.nodes[1:]]
@@ -99,12 +100,13 @@ class TestWindowing:
     @pytest.mark.parametrize("h,w", [(7, 9), (3, 6)])
     def test_reverse_gradient_lands_on_original_pixel_tokens_only(self, h, w):
         window, shift = 4, 2
-        tokens, info = window_partition(tc.constant(np.zeros((1, h, w, 2))),
+        tokens, info = window_partition(tc.Tensor(np.zeros((1, h, w, 2))),
                                         window, shift)
         tape = tc.Tape()
-        tl = tape.leaf(np.random.default_rng(14).normal(size=tokens.shape))
+        tl = tc.Tensor(np.random.default_rng(14).normal(size=tokens.shape),
+                       tape)
         g = np.random.default_rng(15).normal(size=(1, h, w, 2))
-        gt = tc.backward(tc.sum_(tc.mul(window_reverse(tl, info), g)))[tl]
+        (gt,) = tc.backward(tc.sum_(tc.mul(window_reverse(tl, info), g)), [tl])
         # each token's (row, col) in the padded grid, by the roll oracle
         hp, wp = h + (-h) % window, w + (-w) % window
         yy, xx = np.mgrid[0:hp, 0:wp]
@@ -128,7 +130,7 @@ def tiny64():
 
 
 def leaves(params):
-    return {k: tc.constant(v) for k, v in params.items()}
+    return {k: tc.Tensor(v) for k, v in params.items()}
 
 
 class TestAttention:
@@ -137,9 +139,9 @@ class TestAttention:
         p = leaves(params)
         pre = "group0.dt0"
         for nm in ("q", "k"):
-            p[f"{pre}.msa.{nm}.w"] = tc.constant(np.zeros((16, 16)))
-            p[f"{pre}.msa.{nm}.b"] = tc.constant(np.zeros(16))
-        tokens = tc.constant(np.random.default_rng(13).normal(size=(3, 16, 16)))
+            p[f"{pre}.msa.{nm}.w"] = tc.Tensor(np.zeros((16, 16)))
+            p[f"{pre}.msa.{nm}.b"] = tc.Tensor(np.zeros(16))
+        tokens = tc.Tensor(np.random.default_rng(13).normal(size=(3, 16, 16)))
         out = msa(tokens, p, pre, cfg).data
         # uniform attention: every token sees the value mean of its window
         v = tokens.data @ params[f"{pre}.msa.v.w"] + params[f"{pre}.msa.v.b"]
@@ -152,8 +154,8 @@ class TestAttention:
         p = leaves(params)
         tokens = np.random.default_rng(14).normal(size=(2, 16, 16))
         perm = np.random.default_rng(15).permutation(16)
-        out = msa(tc.constant(tokens), p, "group0.dt0", cfg).data
-        out_p = msa(tc.constant(tokens[:, perm]), p, "group0.dt0", cfg).data
+        out = msa(tc.Tensor(tokens), p, "group0.dt0", cfg).data
+        out_p = msa(tc.Tensor(tokens[:, perm]), p, "group0.dt0", cfg).data
         np.testing.assert_allclose(out[:, perm], out_p, atol=1e-10)
 
 
@@ -161,7 +163,7 @@ class TestDualBlock:
     def test_additive_fusion(self, tiny64):
         cfg, params = tiny64
         p = leaves(params)
-        x = tc.constant(np.random.default_rng(16).normal(size=(1, 8, 8, 16)))
+        x = tc.Tensor(np.random.default_rng(16).normal(size=(1, 8, 8, 16)))
         fused = dt_forward(x, p, "group0.dt0", cfg, shift=0).data
         g = global_branch(x, p, "group0.dt0", cfg, shift=0).data
         l = local_branch(x, p, "group0.dt0", cfg).data
@@ -170,7 +172,7 @@ class TestDualBlock:
     def test_local_gate_bounds(self, tiny64):
         cfg, params = tiny64
         p = leaves(params)
-        x = tc.constant(np.random.default_rng(17).normal(size=(1, 8, 8, 16)))
+        x = tc.Tensor(np.random.default_rng(17).normal(size=(1, 8, 8, 16)))
         f_in = tc.layer_norm(x, p["group0.dt0.local.ln.g"],
                              p["group0.dt0.local.ln.b"]).data
         out = local_branch(x, p, "group0.dt0", cfg).data
@@ -180,7 +182,7 @@ class TestDualBlock:
         cfg, params = tiny64
         cfg_off = tiny_preset(dtype="f64", deformable=False)
         p = leaves(params)
-        x = tc.constant(np.random.default_rng(18).normal(size=(1, 8, 8, 16)))
+        x = tc.Tensor(np.random.default_rng(18).normal(size=(1, 8, 8, 16)))
         # zero offsets make the deformable path coincide with plain convs
         a = local_branch(x, p, "group0.dt0", cfg).data
         b = local_branch(x, p, "group0.dt0", cfg_off).data
@@ -243,7 +245,7 @@ class TestBody:
         for node in tape.nodes:
             read.update(_retained(node.vjp))
         alive = [n for n in tape.nodes if n.out() is not None
-                 and n.leaf is None and n is not out.node]
+                 and n.vjp is not None and n is not out.node]
         unread = [n.vjp.__qualname__.split(".")[0] for n in alive
                   if id(_root(n.out())) not in read]
         assert len(alive) > 100 and unread == []
@@ -524,6 +526,18 @@ class TestMalformedCheckpoint:
             tmp_path / "m.hdck",
             lambda m: m["tensors"][0].update(shape=[10**6, 10**6]))
         with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_name_listed_twice_rejected(self, tmp_path):
+        # a second embed.b entry and its payload, appended: loaded, its
+        # payload would silently replace the first
+        def twice(m):
+            m["tensors"].append(next(e for e in m["tensors"]
+                                     if e["name"] == "embed.b"))
+        path = _saved_with_manifest(tmp_path / "m.hdck", twice)
+        dim = tiny_preset().embed_dim
+        path.write_bytes(path.read_bytes() + np.full(dim, 7, "<f4").tobytes())
+        with pytest.raises(CheckpointError, match=r"embed\.b listed twice"):
             load_checkpoint(path)
 
     def test_invalid_config_value_stays_config_error(self, tmp_path):

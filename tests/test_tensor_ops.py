@@ -7,7 +7,7 @@ from hdrdeghost import tensor as tc
 
 
 def c(x):
-    return tc.constant(np.asarray(x, dtype=np.float64))
+    return tc.Tensor(np.asarray(x, dtype=np.float64))
 
 
 class TestConv2d:
@@ -52,9 +52,10 @@ class TestConv2d:
         x, w = rng.normal(size=(2, 6, 5, 3)), rng.normal(size=(3, 3, 3, 4))
         g = rng.normal(size=(2, 6, 5, 4))
         tape = tc.Tape()
-        wl = tape.leaf(w)
-        gw = tc.backward(tc.sum_(tc.mul(
-            tc.conv2d(tape.leaf(x), wl, c(np.zeros(4)), dilation=2), c(g))))[wl]
+        wl = tc.Tensor(w, tape)
+        (gw,) = tc.backward(tc.sum_(tc.mul(
+            tc.conv2d(tc.Tensor(x, tape), wl, c(np.zeros(4)), dilation=2),
+            c(g))), [wl])
         xp = np.pad(x, ((0, 0), (2, 2), (2, 2), (0, 0)))
         patches = np.stack([xp[:, 2 * i:2 * i + 6, 2 * j:2 * j + 5]
                             for i in range(3) for j in range(3)], axis=3)
@@ -165,11 +166,11 @@ class TestDeformableConv2d:
         off = rng.uniform(-3.5, 3.5, size=(2, 6, 7, 18))
         g = rng.normal(size=(2, 6, 7, 4))
         tape = tc.Tape()
-        leaves = [tape.leaf(a) for a in (x, w, b, off)]
+        leaves = [tc.Tensor(a, tape) for a in (x, w, b, off)]
         out = tc.deformable_conv2d(*leaves)
-        grads = tc.backward(tc.sum_(tc.mul(out, c(g))))
+        grads = tc.backward(tc.sum_(tc.mul(out, c(g))), leaves)
         ref_out, ref_vjp = _deformable_reference(x, w, b, off)
-        for got, want in zip([out.data] + [grads[leaf] for leaf in leaves],
+        for got, want in zip([out.data] + grads,
                              (ref_out,) + ref_vjp(g)):
             np.testing.assert_allclose(got, want, rtol=1e-12,
                                        atol=1e-12 * np.abs(want).max())
@@ -179,10 +180,10 @@ class TestDeformableConv2d:
         bsz, h, wdt, cin, k = 2, 8, 8, 8, 3
         tape = tc.Tape()
         out = tc.deformable_conv2d(
-            tape.leaf(rng.normal(size=(bsz, h, wdt, cin))),
-            tape.leaf(rng.normal(size=(k, k, cin, 4))),
-            tape.leaf(rng.normal(size=4)),
-            tape.leaf(rng.uniform(-2, 2, size=(bsz, h, wdt, 2 * k * k))))
+            tc.Tensor(rng.normal(size=(bsz, h, wdt, cin)), tape),
+            tc.Tensor(rng.normal(size=(k, k, cin, 4)), tape),
+            tc.Tensor(rng.normal(size=4), tape),
+            tc.Tensor(rng.uniform(-2, 2, size=(bsz, h, wdt, 2 * k * k)), tape))
         bases, todo = {}, [out.vjp]
         while todo:  # arrays in the closure, and in closures of functions in it
             for cell in todo.pop().__closure__ or ():
@@ -284,11 +285,11 @@ class TestWindowAttention:
         rng = np.random.default_rng(16)
         q, k, v, g = (rng.normal(size=(3, 4, 6)).astype(dtype) for _ in range(4))
         tape = tc.Tape()
-        leaves = [tape.leaf(a) for a in (q, k, v)]
+        leaves = [tc.Tensor(a, tape) for a in (q, k, v)]
         out = tc.window_attention(*leaves, heads)
-        grads = tc.backward(tc.sum_(tc.mul(out, tc.constant(g))))
+        grads = tc.backward(tc.sum_(tc.mul(out, tc.Tensor(g))), leaves)
         ref_out, ref_vjp = _attention_chain(q, k, v, heads)
-        for got, want in zip([out.data] + [grads[leaf] for leaf in leaves],
+        for got, want in zip([out.data] + grads,
                              (ref_out,) + ref_vjp(g)):
             assert got.dtype == dtype
             np.testing.assert_array_equal(got, want)
@@ -333,7 +334,8 @@ class TestWindowAttention:
         tape = tc.Tape()
         rng = np.random.default_rng(20)
         out = tc.window_attention(
-            *(tape.leaf(rng.normal(size=(bw, t, 6))) for _ in range(3)), heads)
+            *(tc.Tensor(rng.normal(size=(bw, t, 6)), tape) for _ in range(3)),
+            heads)
         arrays, todo = {}, [out.vjp]
         while todo:  # arrays in the closure, and in closures of functions in it
             for cell in todo.pop().__closure__ or ():
@@ -348,8 +350,8 @@ class TestWindowAttention:
     def test_vjp_working_set_is_a_few_chunks(self, windows):
         rng = np.random.default_rng(21)
         tape = tc.Tape()
-        out = tc.window_attention(*(tape.leaf(rng.normal(
-            size=(windows, 16, 16)).astype(np.float32)) for _ in range(3)), 2)
+        out = tc.window_attention(*(tc.Tensor(rng.normal(
+            size=(windows, 16, 16)).astype(np.float32), tape) for _ in range(3)), 2)
         g = rng.normal(size=out.shape).astype(np.float32)
         tracemalloc.start()
         try:
@@ -406,17 +408,17 @@ class TestActivations:
         x = np.random.default_rng(30).normal(size=(4, 50)).astype(dtype)
         x[0, :2] = [0.0, -0.0]
         old = np.where(x >= 0, 1.0, 0.01).astype(dtype)
-        out = tc.leaky_relu(tc.constant(x))
+        out = tc.leaky_relu(tc.Tensor(x))
         assert out.data.dtype == dtype
         assert out.data.tobytes() == (x * old).tobytes()
         tape = tc.Tape()
-        leaf = tape.leaf(x[1:])
-        g = tc.backward(tc.sum_(tc.leaky_relu(leaf)))[leaf]
+        leaf = tc.Tensor(x[1:], tape)
+        (g,) = tc.backward(tc.sum_(tc.leaky_relu(leaf)), [leaf])
         assert g.dtype == dtype and g.tobytes() == old[1:].tobytes()
         for bad in (np.inf, -np.inf):
             with pytest.raises(FloatingPointError,
                                match="non-finite values in leaky_relu output"):
-                tc.leaky_relu(tc.constant(np.array([1.0, bad], dtype)))
+                tc.leaky_relu(tc.Tensor(np.array([1.0, bad], dtype)))
 
     def test_sigmoid_zero(self):
         assert tc.sigmoid(c([0.0])).data[0] == pytest.approx(0.5)
@@ -437,10 +439,10 @@ class TestChunks:
         monkeypatch.setattr(tc, "CHUNK_BYTES", chunk_bytes)
         untaped = kernel(*arrays).data
         tape = tc.Tape()
-        leaves = [tape.leaf(a) for a in arrays]
+        leaves = [tc.Tensor(a, tape) for a in arrays]
         out = kernel(*leaves)
-        grads = tc.backward(tc.sum_(tc.mul(out, tc.constant(g))))
-        return [untaped, out.data] + [grads[leaf] for leaf in leaves]
+        grads = tc.backward(tc.sum_(tc.mul(out, tc.Tensor(g))), leaves)
+        return [untaped, out.data] + grads
 
     def check(self, monkeypatch, kernel, arrays, chunk_bytes, exact):
         out = kernel(*arrays).data
@@ -547,8 +549,8 @@ class TestTake:
         x = rng.normal(size=(2, 5, 3)).astype(dtype)
         g = rng.normal(size=(2, 7, 3)).astype(dtype)
         tape = tc.Tape()
-        xl = tape.leaf(x)
-        gx = tc.backward(tc.sum_(tc.mul(tc.take(xl, self.idx), g)))[xl]
+        xl = tc.Tensor(x, tape)
+        (gx,) = tc.backward(tc.sum_(tc.mul(tc.take(xl, self.idx), g)), [xl])
         want = np.zeros_like(x)
         np.add.at(want, (slice(None), self.idx), g)
         np.testing.assert_array_equal(gx, want)
@@ -637,7 +639,7 @@ KERNEL_CASES = {
     "deformable_conv2d": (tc.deformable_conv2d,
                           [(1, 5, 5, 2), (3, 3, 2, 3), (3,), (1, 5, 5, 18)]),
 }
-NOT_KERNELS = {"backward", "constant"}
+NOT_KERNELS = {"backward"}
 
 
 def _case_inputs(name, dtype):
@@ -658,19 +660,18 @@ def test_kernel_cases_cover_every_kernel():
 @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
 def test_kernel_keeps_dtype_forward_and_backward(name, dtype):
     tape = tc.Tape()
-    leaves = [tape.leaf(a) for a in _case_inputs(name, dtype)]
+    leaves = [tc.Tensor(a, tape) for a in _case_inputs(name, dtype)]
     out = KERNEL_CASES[name][0](*leaves)
     assert out.data.dtype == dtype
-    grads = tc.backward(tc.sum_(out))
-    for leaf in leaves:
-        assert grads[leaf].dtype == dtype
+    grads = tc.backward(tc.sum_(out), leaves)
+    assert [g.dtype for g in grads] == [dtype] * len(leaves)
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
 def test_untaped_kernel_keeps_no_graph(name):
     ins = _case_inputs(name, np.float64)
     # tensors and raw arrays alike: neither is taped
-    for args in ([tc.constant(a) for a in ins], ins):
+    for args in ([tc.Tensor(a) for a in ins], ins):
         out = KERNEL_CASES[name][0](*args)
         assert out.tape is None
         assert out.node is None
@@ -708,16 +709,12 @@ VJP_READS = {
     "mul": (0, 1), "sigmoid": ("out",), "leaky_relu": (0,), "linear": (0, 1),
     "layer_norm": (0, 1), "window_attention": (0, 1, 2),
     "window_attention/probs": (0, 1), "window_attention/values": (0,),
-    "conv2d": (0, 1), "deformable_conv2d": (1, 3),
+    "conv2d": (0, 1), "deformable_conv2d": (0, 1, 3),
 }
 
 # bytes a vjp may keep beyond the arrays it reads, from its case inputs;
 # every kernel not named keeps nothing more
 VJP_KEEPS = {
-    # the zero-padded input, and its k tap offsets
-    "deformable_conv2d": lambda x, w, *_: x.itemsize * (
-        x.shape[0] * (x.shape[1] + w.shape[0] - 1) * (x.shape[2] + w.shape[0] - 1)
-        * x.shape[3] + w.shape[0]),
     "take": lambda x: 5 * np.dtype(np.intp).itemsize,  # the index
     # the row statistics mu and 1/sigma, one value per row each
     "layer_norm": lambda x, *_: 2 * x.nbytes // x.shape[-1],
@@ -732,7 +729,7 @@ VJP_KEEPS = {
 def test_vjp_keeps_nothing_it_can_rebuild(name, dtype):
     ins = _case_inputs(name, dtype)
     tape = tc.Tape()
-    leaves = [tape.leaf(a) for a in ins]
+    leaves = [tc.Tensor(a, tape) for a in ins]
     out = KERNEL_CASES[name][0](*leaves)
     reads = {id(_root((out if i == "out" else leaves[i]).data))
              for i in VJP_READS.get(name, ())}
