@@ -3,11 +3,10 @@
 Exit codes: 0 success (also a Ctrl-C'd ``train``); 1 I/O or data error
 (``OSError``, and ``ValueError`` such as ``CodecError``, ``DatasetError`` or
 ``ShapeError``); 2 config/checkpoint mismatch (``ConfigError``,
-``CheckpointError``); 3 numerical failure (``TrainingError``,
-``FloatingPointError``, a failed gradcheck). The commands raise; ``main``
-alone maps an error to its code through ``EXIT_CODES`` and prints
-``error: <message>`` with no traceback. Any other exception is a bug and
-keeps its traceback.
+``CheckpointError``); 3 numerical failure (``FloatingPointError``, a
+failed gradcheck). The commands raise; ``main`` alone maps an error to its
+code through ``EXIT_CODES`` and prints ``error: <message>`` with no
+traceback. Any other exception is a bug and keeps its traceback.
 """
 from __future__ import annotations
 
@@ -23,7 +22,7 @@ from .config import parse_config
 from .hdrmath import mu_law
 from .model import (CheckpointError, ConfigError, init_params, load_checkpoint,
                     model_forward, param_manifest, param_spec)
-from .training import TrainingError, synth_dataset, train_loop
+from .training import synth_dataset, train_loop
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -34,7 +33,7 @@ EXIT_NUMERIC = 3
 # and the codec, dataset and shape errors are all ValueErrors
 EXIT_CODES = (
     ((ConfigError, CheckpointError), EXIT_CONFIG),
-    ((TrainingError, FloatingPointError), EXIT_NUMERIC),
+    ((FloatingPointError,), EXIT_NUMERIC),
     ((OSError, ValueError), EXIT_IO),
 )
 
@@ -111,6 +110,8 @@ def cmd_eval(args):
 
 
 def cmd_gradcheck(args):
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     if args.ops != "all" and args.ops not in gradcheck.op_names():
         raise ConfigError(f"unknown op {args.ops!r}; choices: all, "
                           + ", ".join(gradcheck.op_names()))

@@ -46,23 +46,33 @@ def _read_token(buf, pos):
     return buf[start:pos], pos
 
 
-def read_ppm(path) -> LdrImage:
-    """Decode a binary P6 PPM to [0, 1] floats (exposure time set to 1)."""
+def _read_header(path, magics, third):
+    """The file's bytes, magic, width, height, third header field (parsed by
+    ``third``) and the position after it. ``magics`` are those the caller
+    recognizes; the caller decides which of them it supports."""
     buf = Path(path).read_bytes()
     magic, pos = _read_token(buf, 0)
-    if magic != b"P6":
-        raise CodecError(f"not a binary PPM (magic {magic!r})", offset=0)
+    if magic not in magics:
+        expected = " or ".join(m.decode() for m in magics)
+        raise CodecError(f"unrecognized magic {magic!r} (expected {expected})",
+                         offset=0)
     fields = []
-    for _ in range(3):
+    for parse in (int, int, third):
         tok, pos = _read_token(buf, pos)
         try:
-            fields.append(int(tok))
+            fields.append(parse(tok))
         except ValueError:
-            raise CodecError(f"non-integer header field {tok!r}",
+            raise CodecError(f"malformed header field {tok!r}",
                              offset=pos - len(tok)) from None
-    width, height, maxval = fields
+    width, height, value = fields
     if width < 1 or height < 1:
         raise CodecError(f"bad dimensions {width}x{height}", offset=0)
+    return buf, magic, width, height, value, pos
+
+
+def read_ppm(path) -> LdrImage:
+    """Decode a binary P6 PPM to [0, 1] floats (exposure time set to 1)."""
+    buf, _, width, height, maxval, pos = _read_header(path, (b"P6",), int)
     if maxval not in (255, 65535):
         raise CodecError(f"unsupported maxval {maxval}", offset=0)
     pos += 1  # single whitespace byte after maxval
@@ -93,21 +103,10 @@ def write_ppm(path, pixels: np.ndarray, maxval: int = 255):
 
 def read_pfm(path) -> HdrImage:
     """Decode a color PFM (magic 'PF', rows stored bottom-up)."""
-    buf = Path(path).read_bytes()
-    magic, pos = _read_token(buf, 0)
+    buf, magic, width, height, scale, pos = _read_header(
+        path, (b"PF", b"Pf"), float)
     if magic == b"Pf":
         raise CodecError("grayscale PFM ('Pf') is not supported", offset=0)
-    if magic != b"PF":
-        raise CodecError(f"not a color PFM (magic {magic!r})", offset=0)
-    tok_w, pos = _read_token(buf, pos)
-    tok_h, pos = _read_token(buf, pos)
-    tok_s, pos = _read_token(buf, pos)
-    try:
-        width, height, scale = int(tok_w), int(tok_h), float(tok_s)
-    except ValueError:
-        raise CodecError("malformed PFM header fields", offset=pos) from None
-    if width < 1 or height < 1:
-        raise CodecError(f"bad dimensions {width}x{height}", offset=0)
     if scale == 0:
         raise CodecError("PFM scale must be non-zero", offset=pos)
     pos += 1

@@ -38,17 +38,18 @@ def _coerce(ftype, value, lineno):
             f"line {lineno}: cannot parse {value!r} as {ftype.__name__}") from None
 
 
+# key -> (config class, value type): the two classes' field names are
+# disjoint, and a field's type is its default's, as ModelConfig enforces
+_KEYS = {f.name: (cls, type(f.default))
+         for cls in (ModelConfig, TrainConfig) for f in fields(cls)}
+
+
 def parse_config(path=None, text=None):
     """Returns (ModelConfig, TrainConfig) from a key=value file."""
     if text is None:
         text = Path(path).read_text() if path else ""
-    model_fields = {f.name: f.type for f in fields(ModelConfig)}
-    train_fields = {f.name: f.type for f in fields(TrainConfig)}
-    _types = {"int": int, "float": float, "bool": bool, "str": str}
-
     preset = "full"
-    model_kv = {}
-    train_kv = {}
+    kv = {ModelConfig: {}, TrainConfig: {}}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -62,13 +63,10 @@ def parse_config(path=None, text=None):
                     f"line {lineno}: unknown preset {value!r} "
                     f"(choices: {sorted(_PRESETS)})")
             preset = value
-        elif key in model_fields:
-            ftype = _types.get(model_fields[key], str)
-            model_kv[key] = _coerce(ftype, value, lineno)
-        elif key in train_fields:
-            ftype = _types.get(train_fields[key], str)
-            train_kv[key] = _coerce(ftype, value, lineno)
+        elif key in _KEYS:
+            cls, ftype = _KEYS[key]
+            kv[cls][key] = _coerce(ftype, value, lineno)
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
 
-    return _PRESETS[preset](**model_kv), TrainConfig(**train_kv)
+    return _PRESETS[preset](**kv[ModelConfig]), TrainConfig(**kv[TrainConfig])

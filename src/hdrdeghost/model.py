@@ -336,15 +336,16 @@ def _parse_checkpoint(blob):
     manifest = json.loads(blob[pos - mlen:pos].decode())
     cfg = ModelConfig(**manifest["config"])
     dt = tc.DTYPES[cfg.dtype]
+    wire = np.dtype("<f8" if cfg.dtype == "f64" else "<f4")  # as saved
     params = {}
     for entry in manifest["tensors"]:
         if entry["name"] in params:
             raise CheckpointError(f"tensor {entry['name']} listed twice")
         shape = tuple(entry["shape"])
-        if entry.get("dtype", "f32") not in tc.DTYPES:
+        if entry["dtype"] != cfg.dtype:
             raise CheckpointError(
-                f"unknown payload dtype {entry.get('dtype')!r}")
-        wire = np.dtype("<f8" if entry.get("dtype", "f32") == "f64" else "<f4")
+                f"malformed checkpoint: tensor {entry['name']} has payload "
+                f"dtype {entry['dtype']!r}, not the config's {cfg.dtype!r}")
         n = int(np.prod(shape)) if shape else 1
         if pos + wire.itemsize * n > len(blob):
             raise CheckpointError(

@@ -11,15 +11,12 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as tc
+from .codecs import DatasetError
 from .hdrmath import (GAMMA, MU, HdrImage, LdrImage, SampleTriplet, build_input,
                       mu_law)
 from .model import (ConfigError, ModelConfig, bind_params, forward_from_inputs,
                     model_forward, save_checkpoint)
 from .metrics import psnr
-
-
-class TrainingError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -89,14 +86,12 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> dict:
     """One Adam update; returns the new parameter dict."""
     for k, g in grads.items():
         if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient for parameter {k!r}")
+            raise FloatingPointError(f"non-finite gradient for parameter {k!r}")
     state.step_count += 1
     t = state.step_count
     out = {}
     for k, w in params.items():
-        g = grads.get(k)
-        if g is None:
-            g = np.zeros_like(w)
+        g = grads[k]
         m = state.m[k] = BETA1 * state.m[k] + (1 - BETA1) * g
         v = state.v[k] = BETA2 * state.v[k] + (1 - BETA2) * g * g
         mhat = m / (1 - BETA1 ** t)
@@ -242,12 +237,13 @@ def train_loop(dataset, params, cfg: ModelConfig, tcfg: TrainConfig,
     epoch to metrics.jsonl and one per step to steps.jsonl, and writes
     checkpoints under out_dir. Returns the final parameters.
 
-    On KeyboardInterrupt, FloatingPointError or TrainingError the parameters
-    after the last completed step are written to out_dir/checkpoint.hdck
-    before the error propagates; an error's message then ends with that path."""
+    A dataset with no ground truth raises DatasetError. On KeyboardInterrupt
+    or FloatingPointError the parameters after the last completed step are
+    written to out_dir/checkpoint.hdck before the error propagates; a
+    FloatingPointError's message then ends with that path."""
     dataset = [s for s in dataset if s.ground_truth is not None]
     if not dataset:
-        raise TrainingError("training requires samples with ground truth")
+        raise DatasetError("training requires samples with ground truth")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / "metrics.jsonl"
@@ -293,7 +289,7 @@ def train_loop(dataset, params, cfg: ModelConfig, tcfg: TrainConfig,
                     log_fn(rec)
                 if tcfg.max_steps and step >= tcfg.max_steps:
                     break
-    except (KeyboardInterrupt, FloatingPointError, TrainingError) as e:
+    except (KeyboardInterrupt, FloatingPointError) as e:
         # adam_step returns a new dict, so params is the last completed step
         save_checkpoint(ckpt_path, params, cfg)
         if isinstance(e, KeyboardInterrupt):

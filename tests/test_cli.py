@@ -113,6 +113,12 @@ class TestParseConfig:
             return
         assert isinstance(mcfg, ModelConfig) and isinstance(tcfg, TrainConfig)
 
+    def test_each_key_names_one_class_and_its_defaults_type(self):
+        # parse_config looks a key's class and type up in one table
+        both = fields(ModelConfig) + fields(TrainConfig)
+        assert len({f.name for f in both}) == len(both)
+        assert all(type(f.default).__name__ == f.type for f in both)
+
     def test_unknown_key_reports_line_number(self):
         with pytest.raises(ConfigError, match="line 2"):
             parse_config(text="window = 8\nwibble = 1\n")
@@ -330,6 +336,16 @@ class TestEval:
                    "--checkpoint", str(checkpoint)])
         assert rc == EXIT_IO
 
+    def test_train_on_dataset_without_gt_exits_1(self, tmp_path):
+        write_sample(tmp_path / "data", "s0", h=16, w=16, with_gt=False)
+        conf = tmp_path / "conf.txt"
+        conf.write_text(TINY_CONF)
+        proc = _run_cli(["train", "--data", str(tmp_path / "data"),
+                         "--config", str(conf), "--out", str(tmp_path / "run")])
+        assert proc.returncode == EXIT_IO
+        assert proc.stderr.startswith("error: ") and "ground truth" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_overflowing_exposure_stop_exits_1(self, tmp_path, checkpoint):
         write_sample(tmp_path / "data", "s0", h=16, w=16, stops=(0, 2000, 2))
         proc = _run_cli(["eval", "--data", str(tmp_path / "data"),
@@ -393,6 +409,15 @@ class TestGradcheckCommand:
     def test_unknown_op_exits_2(self, capsys):
         rc = main(["gradcheck", "--ops", "wibble"])
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("argv", [["--seed", "-1"],
+                                      ["--seed", "-1", "--ops", "take"],
+                                      ["--seed", "-100", "--ops", "sigmoid"]])
+    def test_negative_seed_exits_2_without_traceback(self, argv):
+        proc = _run_cli(["gradcheck", *argv])
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr == f"error: seed must be >= 0, got {argv[1]}\n"
+        assert proc.stdout == ""
 
     def test_seed_selects_the_kernel_draws(self, capsys):
         outs = []

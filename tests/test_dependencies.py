@@ -1,7 +1,9 @@
 """numpy is the only runtime dependency: every import in the package is the
 standard library, numpy or the package itself, and the project metadata
-declares numpy alone."""
+declares numpy alone. Every exception class the package defines has an exit
+code."""
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import hdrdeghost
+from hdrdeghost.cli import EXIT_CODES
 
 PACKAGE = Path(hdrdeghost.__file__).resolve().parent
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "hdrdeghost"}
@@ -61,3 +64,17 @@ def test_the_only_environment_knob_is_hdt_threads():
     # codecs.max_workers reads HDT_THREADS, which sizes the loader pool
     reads = [r for p in sorted(PACKAGE.glob("*.py")) for r in _environment_reads(p)]
     assert reads == [("codecs", "max_workers")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_exception_class_has_an_exit_code(path):
+    # else the CLI would print its traceback instead of exiting 1, 2 or 3
+    module = importlib.import_module(
+        "hdrdeghost" + ("" if path.stem == "__init__" else f".{path.stem}"))
+    kinds = tuple(kind for kinds, _ in EXIT_CODES for kind in kinds)
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, ast.ClassDef):
+            cls = getattr(module, node.name)
+            if issubclass(cls, BaseException):
+                assert issubclass(cls, kinds), node.name

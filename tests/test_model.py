@@ -497,7 +497,8 @@ def _saved_with_manifest(path, edit):
 # manifests that parse as JSON but not as a checkpoint; unwrapped, they raise
 # TypeError, TypeError, KeyError, TypeError, KeyError and OverflowError in
 # load_checkpoint. The second is a checkpoint written while the MLP ratio,
-# tail dilation and LeakyReLU slope were still config fields.
+# tail dilation and LeakyReLU slope were still config fields. The last two
+# give a tensor a payload dtype other than the config's, or none.
 MALFORMED_MANIFESTS = {
     "extra_config_key": lambda m: m["config"].update(bogus=1),
     "removed_config_fields": lambda m: m["config"].update(
@@ -510,6 +511,8 @@ MALFORMED_MANIFESTS = {
     "float_heads": lambda m: m["config"].update(heads=2.0),
     "string_sar": lambda m: m["config"].update(sar="no"),
     "bool_groups": lambda m: m["config"].update(groups=True),
+    "payload_dtype_not_the_configs": lambda m: m["tensors"][0].update(dtype="f64"),
+    "payload_dtype_missing": lambda m: m["tensors"][0].pop("dtype"),
 }
 
 
