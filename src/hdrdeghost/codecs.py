@@ -60,10 +60,16 @@ def _read_header(path, magics, third):
     for parse in (int, int, third):
         tok, pos = _read_token(buf, pos)
         try:
-            fields.append(parse(tok))
+            value = parse(tok)
+            # int takes 1_0 and +5, float nan and inf: integers are digits (a
+            # minus reports as bad dimensions), a scale finite and non-zero
+            if not (tok.removeprefix(b"-").isdigit() if parse is int
+                    else np.isfinite(value) and value):
+                raise ValueError
         except ValueError:
             raise CodecError(f"malformed header field {tok!r}",
                              offset=pos - len(tok)) from None
+        fields.append(value)
     width, height, value = fields
     if width < 1 or height < 1:
         raise CodecError(f"bad dimensions {width}x{height}", offset=0)
@@ -107,8 +113,6 @@ def read_pfm(path) -> HdrImage:
         path, (b"PF", b"Pf"), float)
     if magic == b"Pf":
         raise CodecError("grayscale PFM ('Pf') is not supported", offset=0)
-    if scale == 0:
-        raise CodecError("PFM scale must be non-zero", offset=pos)
     pos += 1
     dtype = np.dtype("<f4") if scale < 0 else np.dtype(">f4")
     need = width * height * 3 * 4

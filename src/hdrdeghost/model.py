@@ -342,6 +342,9 @@ def _parse_checkpoint(blob):
         if entry["name"] in params:
             raise CheckpointError(f"tensor {entry['name']} listed twice")
         shape = tuple(entry["shape"])
+        if any(d < 0 for d in shape):
+            raise CheckpointError(f"malformed checkpoint: tensor {entry['name']} "
+                                  f"has a negative shape {list(shape)}")
         if entry["dtype"] != cfg.dtype:
             raise CheckpointError(
                 f"malformed checkpoint: tensor {entry['name']} has payload "
@@ -380,6 +383,6 @@ def load_checkpoint(path):
         return _parse_checkpoint(blob)
     except (CheckpointError, ConfigError):
         raise
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as e:
         raise CheckpointError(
             f"malformed checkpoint: {type(e).__name__}: {e}") from None

@@ -226,13 +226,20 @@ def sigmoid(x):
 
 def leaky_relu(x):
     xd = _data(x)
-
-    def mask():  # the vjp rebuilds it from the input it keeps anyway
-        return np.where(xd >= 0, xd.dtype.type(1), xd.dtype.type(0.01))
-
-    y = mask()
+    one, slope = xd.dtype.type(1), xd.dtype.type(0.01)
+    y = np.where(xd >= 0, one, slope)
     y *= xd
-    return _make(y, (x,), lambda g: (g * mask(),))
+    # the vjp reads y, which its consumer keeps anyway: y >= 0 is x >= 0 but
+    # where 0.01 * x underflowed to -0.0, listed when taped
+    under = np.flatnonzero((y == 0) & (xd < 0)) if _tape(x) is not None else None
+
+    def vjp(g):
+        gx = np.where(y >= 0, one, slope)
+        gx.flat[under] = slope
+        gx *= g
+        return (gx,)
+
+    return _make(y, (x,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -429,37 +436,36 @@ def conv2d(x, w, b, dilation=1):
     p = dilation * (k - 1) // 2
     w2, bd = wd.reshape(k * k * cin, cout), _data(b)
 
-    def gather(lo, hi, buf):
-        """The im2col patches of output rows lo..hi, written into buf as one
-        strided copy of the windows of those rows' zero-padded input rows."""
-        top, end = max(lo - p, 0), min(hi + p, h)
-        xp = np.zeros((bsz, hi - lo + 2 * p, wdt + 2 * p, cin), xd.dtype)
-        xp[:, top - lo + p:end - lo + p, p:p + wdt] = xd[:, top:end]
-        win = np.lib.stride_tricks.sliding_window_view(xp, (2 * p + 1,) * 2, (1, 2))
-        buf[...] = win[..., ::dilation, ::dilation].transpose(0, 1, 2, 4, 5, 3)
-        return buf.reshape(bsz, hi - lo, wdt, k * k * cin)
+    def patches(src):
+        """(lo, hi, im2col patches of src's output rows lo..hi) over spans of at
+        most CHUNK_BYTES, each one strided copy into one reused buffer."""
+        c = src.shape[3]
+        rows, spans = _chunks(h, bsz * wdt * k * k * c * src.itemsize)
+        buf = np.empty((bsz, rows, wdt, k, k, c), src.dtype)
+        for lo, hi in spans:
+            top, end, span = max(lo - p, 0), min(hi + p, h), buf[:, :hi - lo]
+            xp = np.zeros((bsz, hi - lo + 2 * p, wdt + 2 * p, c), src.dtype)
+            xp[:, top - lo + p:end - lo + p, p:p + wdt] = src[:, top:end]
+            win = np.lib.stride_tricks.sliding_window_view(xp, (2 * p + 1,) * 2, (1, 2))
+            span[...] = win[..., ::dilation, ::dilation].transpose(0, 1, 2, 4, 5, 3)
+            yield lo, hi, span.reshape(bsz, hi - lo, wdt, -1)
 
-    # output rows in chunks through one reused buffer, taped or not
-    rows, spans = _chunks(h, bsz * wdt * k * k * cin * xd.itemsize)
-    buf = np.empty((bsz, rows, wdt, k, k, cin), xd.dtype)
-    out = np.empty((bsz, h, wdt, cout), np.result_type(xd, wd, bd))
-    for lo, hi in spans:
-        out[:, lo:hi] = gather(lo, hi, buf[:, :hi - lo]) @ w2 + bd
+    def correlate(src, wmat, bias=0):
+        """src correlated with the (k*k*C) x Cout matrix wmat, plus bias."""
+        out = np.empty((bsz, h, wdt, wmat.shape[1]), np.result_type(src, wmat, bias))
+        for lo, hi, span in patches(src):
+            out[:, lo:hi] = span @ wmat + bias
+        return out
 
     def vjp(g):
-        # the patches are gathered again, whole, and freed before gp
-        patches = gather(0, h, np.empty((bsz, h, wdt, k, k, cin), xd.dtype))
-        gw = (patches.reshape(-1, len(w2)).T @ g.reshape(-1, cout)).reshape(wd.shape)
-        del patches
-        gp = (g @ w2.T).reshape(bsz, h, wdt, k, k, cin)
-        gxp = np.zeros((bsz, h + 2 * p, wdt + 2 * p, cin), xd.dtype)
-        for ki in range(k):
-            for kj in range(k):
-                y0, x0 = ki * dilation, kj * dilation
-                gxp[:, y0:y0 + h, x0:x0 + wdt, :] += gp[:, :, :, ki, kj, :]
-        return gxp[:, p:p + h, p:p + wdt, :], gw, g.sum(axis=(0, 1, 2))
+        # gx: g correlated with the flipped kernel, Cin and Cout swapped
+        gx = correlate(g, wd[::-1, ::-1].transpose(0, 1, 3, 2).reshape(-1, cin))
+        gw = np.zeros(w2.shape, np.result_type(xd, g))
+        for lo, hi, span in patches(xd):
+            gw += span.reshape(-1, len(w2)).T @ g[:, lo:hi].reshape(-1, cout)
+        return gx, gw.reshape(wd.shape), g.sum(axis=(0, 1, 2))
 
-    return _make(out, (x, w, b), vjp)
+    return _make(correlate(xd, w2, bd), (x, w, b), vjp)
 
 
 def _lerp_rows(xf, i, t):
@@ -538,30 +544,38 @@ def deformable_conv2d(x, w, b, offsets):
 
     xf = padded()
     out = np.empty((bsz * h * wdt, cout), np.result_type(xd, wd, bd))
-    for lo, hi in _chunks(len(out), k * k * cin * xd.itemsize)[1]:
+    spans = _chunks(len(out), k * k * cin * xd.itemsize)[1]
+    for lo, hi in spans:
         out[lo:hi] = sample(xf, *coords(lo, hi)[:3])[0] @ w2 + bd
 
     def vjp(g):
-        # coordinates and corners are computed again: kept, they would hold
-        # five per-tap and five sample-sized arrays per call until backward
-        g2 = g.reshape(-1, cout)
-        gs = (g2 @ w2.T).reshape(-1, cin)
-        i00, wy, wx, my, mx = coords(0, len(g2))
-        s, dvdy, dx0, dx1 = sample(padded(), i00, wy, wx)
-        gw = (s.T @ g2).reshape(wd.shape)
-        gpy = (gs * dvdy).sum(axis=-1) * my
-        a0 = (gs * dx0).sum(axis=-1)  # dv/dx is dx0 lerped toward dx1 by wy
-        gpx = (a0 + wy * ((gs * dx1).sum(axis=-1) - a0)) * mx
-
-        n = bsz * hp * wp
-        gxp = np.zeros((n, cin))
-        for d, cw in ((0, (1 - wy) * (1 - wx)), (1, (1 - wy) * wx),
-                      (wp, wy * (1 - wx)), (wp + 1, wy * wx)):
-            for c in range(cin):  # i00 + d < n: a scatter into rows d..
-                gxp[d:, c] += np.bincount(i00, gs[:, c] * cw, n - d)
-        gx = gxp.astype(wy.dtype).reshape(bsz, hp, wp, cin)[:, p:p + h, p:p + wdt]
-        goff = np.stack([gpy, gpx], axis=-1).reshape(bsz, h, wdt, -1)
-        return (gx, gw, g.sum(axis=(0, 1, 2)), goff)
+        # per forward span: coordinates, samples and GEMMs again (kept, they would
+        # hold sample-sized arrays), one bincount per corner for all channels
+        g2, xf = g.reshape(-1, cout), padded()
+        gxp = np.zeros((cin, bsz * hp * wp))
+        gw = np.zeros(w2.shape, np.result_type(xd, g))
+        goff = np.empty((len(g2) * k * k, 2), np.result_type(g, wd, xd))
+        for lo, hi in spans:
+            i00, wy, wx, my, mx = coords(lo, hi)
+            s, dvdy, dx0, dx1 = sample(xf, i00, wy, wx)
+            gw += s.T @ g2[lo:hi]
+            gs = (g2[lo:hi] @ w2.T).reshape(-1, cin)
+            gpy, gpx = goff[lo * k * k:hi * k * k].T
+            gpy[...] = (gs * dvdy).sum(axis=-1) * my
+            a0 = (gs * dx0).sum(axis=-1)  # dv/dx is dx0 lerped toward dx1 by wy
+            gpx[...] = (a0 + wy * ((gs * dx1).sum(axis=-1) - a0)) * mx
+            del s, dvdy, dx0, dx1  # each span's arrays go before the next's
+            base, m = i00.min(), np.ptp(i00) + 1  # channel c: bins c*m..c*m+m-1
+            i = (np.arange(cin)[:, None] * m + (i00 - base)).reshape(-1)
+            gs = np.ascontiguousarray(gs.T)
+            for d, cw in ((base, (1 - wy) * (1 - wx)), (base + 1, (1 - wy) * wx),
+                          (base + wp, wy * (1 - wx)), (base + wp + 1, wy * wx)):
+                gxp[:, d:d + m] += np.bincount(i, (gs * cw).ravel()).reshape(cin, m)
+            del gs, i
+        del xf
+        gx = gxp.reshape(cin, bsz, hp, wp)[:, :, p:p + h, p:p + wdt]
+        return (gx.transpose(1, 2, 3, 0).astype(dt, order="C"), gw.reshape(wd.shape),
+                g.sum(axis=(0, 1, 2)), goff.reshape(bsz, h, wdt, -1))
 
     return _make(out.reshape(bsz, h, wdt, cout), (x, w, b, offsets), vjp)
 

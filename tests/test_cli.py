@@ -1,6 +1,7 @@
 import json
 import os
 import shlex
+import struct
 import subprocess
 import sys
 import warnings
@@ -470,6 +471,16 @@ def test_module_entry_point_exits_2_without_traceback(tmp_path):
     proc = _run_cli(["inspect", "--checkpoint", str(bad)])
     assert proc.returncode == EXIT_CONFIG
     assert "error: malformed checkpoint" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_deeply_nested_manifest_exits_2_without_traceback(tmp_path):
+    text = b"[" * 100_000 + b"]" * 100_000
+    bad = tmp_path / "bad.hdck"
+    bad.write_bytes(model.CHECKPOINT_MAGIC + struct.pack("<I", len(text)) + text)
+    proc = _run_cli(["inspect", "--checkpoint", str(bad)])
+    assert proc.returncode == EXIT_CONFIG
+    assert "error: malformed checkpoint: RecursionError" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

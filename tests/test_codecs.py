@@ -46,6 +46,18 @@ class TestPpm:
         with pytest.raises(CodecError, match="magic"):
             read_ppm(path)
 
+    # int() also takes digit separators and a plus sign: a width of 1_0 would
+    # decode as 10 pixels wide
+    @pytest.mark.parametrize("header, at", [(b"P6\n1_0 1\n255\n", 3),
+                                            (b"P6\n+5 1\n255\n", 3),
+                                            (b"P6\n1 1\n2_55\n", 7)])
+    def test_header_integers_are_ascii_digits(self, tmp_path, header, at):
+        path = tmp_path / "p.ppm"
+        path.write_bytes(header + bytes(30))
+        with pytest.raises(CodecError, match="malformed header field") as exc:
+            read_ppm(path)
+        assert exc.value.offset == at
+
     def test_sixteen_bit_big_endian(self, tmp_path):
         path = tmp_path / "p.ppm"
         path.write_bytes(b"P6\n1 1\n65535\n" + b"\xff\xff\x00\x00\x80\x00")
@@ -91,6 +103,15 @@ class TestPfm:
         path.write_bytes(b"PF\n2 2\n-1.0\n" + bytes(10))
         with pytest.raises(CodecError, match="mismatch"):
             read_pfm(path)
+
+    # float() also takes nan and inf; a zero scale gives no byte order
+    @pytest.mark.parametrize("scale", [b"nan", b"inf", b"-inf", b"0", b"-0.0"])
+    def test_scale_is_finite_and_non_zero(self, tmp_path, scale):
+        path = tmp_path / "img.pfm"
+        path.write_bytes(b"PF\n1 1\n" + scale + b"\n" + bytes(12))
+        with pytest.raises(CodecError, match="malformed header field") as exc:
+            read_pfm(path)
+        assert exc.value.offset == len(b"PF\n1 1\n")
 
     def test_grayscale_unsupported(self, tmp_path):
         path = tmp_path / "img.pfm"

@@ -479,18 +479,26 @@ class TestCheckpoint:
         assert path.read_bytes() == before
 
 
+def _manifest_bytes(blob):
+    (mlen,) = struct.unpack_from("<I", blob, len(CHECKPOINT_MAGIC))
+    return blob[len(CHECKPOINT_MAGIC) + 4:len(CHECKPOINT_MAGIC) + 4 + mlen]
+
+
+def _with_manifest(blob, edit):
+    """A checkpoint blob with its manifest re-encoded after ``edit``."""
+    text = _manifest_bytes(blob)
+    manifest = json.loads(text)
+    edit(manifest)
+    new = json.dumps(manifest).encode()
+    return (CHECKPOINT_MAGIC + struct.pack("<I", len(new)) + new
+            + blob[len(CHECKPOINT_MAGIC) + 4 + len(text):])
+
+
 def _saved_with_manifest(path, edit):
     """Save a tiny checkpoint, then re-encode its manifest after ``edit``."""
     cfg = tiny_preset()
     save_checkpoint(path, init_params(cfg, seed=1), cfg)
-    blob = path.read_bytes()
-    head = len(CHECKPOINT_MAGIC) + 4
-    (mlen,) = struct.unpack_from("<I", blob, len(CHECKPOINT_MAGIC))
-    manifest = json.loads(blob[head:head + mlen])
-    edit(manifest)
-    text = json.dumps(manifest).encode()
-    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(text)) + text
-                     + blob[head + mlen:])
+    path.write_bytes(_with_manifest(path.read_bytes(), edit))
     return path
 
 
@@ -498,7 +506,9 @@ def _saved_with_manifest(path, edit):
 # TypeError, TypeError, KeyError, TypeError, KeyError and OverflowError in
 # load_checkpoint. The second is a checkpoint written while the MLP ratio,
 # tail dilation and LeakyReLU slope were still config fields. The last two
-# give a tensor a payload dtype other than the config's, or none.
+# give a tensor a payload dtype other than the config's, or none. A negative
+# shape entry would make np.frombuffer read every byte left ([-1]) or a
+# count that reshape rejects ([-2, -3]).
 MALFORMED_MANIFESTS = {
     "extra_config_key": lambda m: m["config"].update(bogus=1),
     "removed_config_fields": lambda m: m["config"].update(
@@ -513,6 +523,8 @@ MALFORMED_MANIFESTS = {
     "bool_groups": lambda m: m["config"].update(groups=True),
     "payload_dtype_not_the_configs": lambda m: m["tensors"][0].update(dtype="f64"),
     "payload_dtype_missing": lambda m: m["tensors"][0].pop("dtype"),
+    "negative_shape": lambda m: m["tensors"][0].update(shape=[-1]),
+    "two_negative_dims": lambda m: m["tensors"][0].update(shape=[-2, -3]),
 }
 
 
@@ -541,6 +553,22 @@ class TestMalformedCheckpoint:
         dim = tiny_preset().embed_dim
         path.write_bytes(path.read_bytes() + np.full(dim, 7, "<f4").tobytes())
         with pytest.raises(CheckpointError, match=r"embed\.b listed twice"):
+            load_checkpoint(path)
+
+    def test_negative_shape_names_the_tensor(self, tmp_path):
+        path = _saved_with_manifest(
+            tmp_path / "m.hdck", lambda m: m["tensors"][0].update(shape=[-1]))
+        name = json.loads(_manifest_bytes(path.read_bytes()))["tensors"][0]["name"]
+        with pytest.raises(CheckpointError,
+                           match=rf"tensor {name} has a negative shape \[-1\]"):
+            load_checkpoint(path)
+
+    def test_deeply_nested_manifest_rejected(self, tmp_path):
+        # json.loads raises RecursionError long before 100,000 levels
+        text = b"[" * 100_000 + b"]" * 100_000
+        path = tmp_path / "m.hdck"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(text)) + text)
+        with pytest.raises(CheckpointError, match="malformed.*RecursionError"):
             load_checkpoint(path)
 
     def test_invalid_config_value_stays_config_error(self, tmp_path):
@@ -574,6 +602,41 @@ def test_fuzzed_checkpoint_loads_exactly_or_raises_typed_error(
         bad = bytearray(blob)
         bad[at] ^= data.draw(st.integers(1, 255), label="xor")
     path.write_bytes(bytes(bad))
+    try:
+        params, cfg = load_checkpoint(path)
+    except (CheckpointError, ConfigError):
+        return
+    expected = init_params(cfg, seed=0)
+    assert ({k: v.shape for k, v in params.items()}
+            == {k: v.shape for k, v in expected.items()})
+
+
+# values a manifest edit writes: JSON scalars, lists and objects of them, and
+# shapes, some with negative entries
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats()
+    | st.text(max_size=4),
+    lambda v: st.lists(v, max_size=3) | st.dictionaries(st.text(max_size=4), v,
+                                                        max_size=3),
+    max_leaves=6) | st.lists(st.integers(-3, 300), max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzzed_manifest_loads_or_raises_typed_error(tiny_checkpoint, data):
+    """Set or drop one key of the config or of one tensor entry."""
+    path, blob = tiny_checkpoint
+
+    def edit(m):
+        obj = data.draw(st.sampled_from([m["config"]] + m["tensors"]), label="in")
+        key = data.draw(st.sampled_from(sorted(obj)) | st.text(max_size=4),
+                        label="key")
+        if data.draw(st.booleans(), label="drop"):
+            obj.pop(key, None)
+        else:
+            obj[key] = data.draw(_JSON, label="value")
+
+    path.write_bytes(_with_manifest(blob, edit))
     try:
         params, cfg = load_checkpoint(path)
     except (CheckpointError, ConfigError):

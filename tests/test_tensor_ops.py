@@ -444,7 +444,7 @@ class TestChunks:
         grads = tc.backward(tc.sum_(tc.mul(out, tc.Tensor(g))), leaves)
         return [untaped, out.data] + grads
 
-    def check(self, monkeypatch, kernel, arrays, chunk_bytes, exact):
+    def check(self, monkeypatch, kernel, arrays, chunk_bytes, exact, plans=2):
         out = kernel(*arrays).data
         g = np.random.default_rng(31).normal(size=out.shape).astype(out.dtype)
         one = self.run(monkeypatch, 1 << 40, kernel, arrays, g)
@@ -456,7 +456,8 @@ class TestChunks:
 
         monkeypatch.setattr(tc, "_chunks", spy)
         many = self.run(monkeypatch, chunk_bytes, kernel, arrays, g)
-        assert len(calls) == 2 and min(len(spans) for _, spans in calls) >= 3
+        # one span plan per forward, untaped and taped, and any the vjp makes
+        assert len(calls) == plans and min(len(spans) for _, spans in calls) >= 3
         np.testing.assert_array_equal(many[0], many[1])  # one loop, both modes
         for got, want in zip(many, one):
             assert got.dtype == want.dtype
@@ -479,9 +480,11 @@ class TestChunks:
         rng = np.random.default_rng(33)
         x, w, b = (rng.normal(size=(2, 9, 7, 3)), rng.normal(size=(3, 3, 3, 4)),
                    rng.normal(size=4))
-        # two output rows of 2 x 7 patches of 27 f64 values per chunk: 5 chunks
+        # two output rows of 2 x 7 patches of 27 f64 values per chunk: 5
+        # chunks; the vjp plans spans of g's 36-value patches for the input
+        # gradient and the forward's spans again for the weight gradient
         self.check(monkeypatch, lambda x, w, b: tc.conv2d(x, w, b, dilation),
-                   (x, w, b), 2 * (2 * 7 * 27 * 8), exact=False)
+                   (x, w, b), 2 * (2 * 7 * 27 * 8), exact=False, plans=4)
 
     def test_deformable_conv2d_in_chunks_at_batch_2(self, monkeypatch):
         rng = np.random.default_rng(34)
@@ -516,6 +519,35 @@ class TestChunks:
             tracemalloc.stop()
         # a whole-image im2col would be 9 input-sized arrays
         assert peak <= 3 * tc.CHUNK_BYTES
+
+    @pytest.mark.parametrize("size", [64, 256])
+    def test_conv_vjp_working_sets_are_a_few_chunks(self, size):
+        rng = np.random.default_rng(36)
+        x, g = (rng.normal(size=(1, size, size, 8)).astype(np.float32)
+                for _ in "xg")
+        w = rng.normal(0, 0.1, size=(3, 3, 8, 8)).astype(np.float32)
+        b = np.zeros(8, np.float32)
+        off = rng.uniform(-2, 2, size=(1, size, size, 18)).astype(np.float32)
+        # the deformable vjp holds two image-sized arrays besides: the padded
+        # input it samples and its f64 Cin x pixels scatter buffer
+        image = (size + 2) ** 2 * 8 * (4 + 8)
+        for kernel, ins, bound in (
+                (tc.conv2d, (x, w, b), 3 * tc.CHUNK_BYTES),
+                (tc.deformable_conv2d, (x, w, b, off), image + 8 * tc.CHUNK_BYTES)):
+            tape = tc.Tape()
+            out = kernel(*(tc.Tensor(a, tape) for a in ins))
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                grads = out.vjp(g)
+                peak = (tracemalloc.get_traced_memory()[1] - base
+                        - sum(a.nbytes for a in grads))
+            finally:
+                tracemalloc.stop()
+            # a span's patches or samples, and the deformable scatter's int64
+            # index and f64 weights; whole-image patches would be 9
+            # input-sized arrays, and samples more
+            assert peak <= bound, kernel.__name__
 
 
 class TestGlobalAvgPool:
@@ -706,7 +738,7 @@ def _retained(vjp):
 # values each vjp reads and so may keep; a kernel not named reads none: the
 # shape-only vjps keep shapes and dtypes
 VJP_READS = {
-    "mul": (0, 1), "sigmoid": ("out",), "leaky_relu": (0,), "linear": (0, 1),
+    "mul": (0, 1), "sigmoid": ("out",), "leaky_relu": ("out",), "linear": (0, 1),
     "layer_norm": (0, 1), "window_attention": (0, 1, 2),
     "window_attention/probs": (0, 1), "window_attention/values": (0,),
     "conv2d": (0, 1), "deformable_conv2d": (0, 1, 3),
@@ -749,7 +781,9 @@ def _chunks_keeping(n, row_bytes, keep=False):
 # conv2d, layer_norm, leaky_relu and window_attention as they were when their
 # vjps kept the im2col patches, xhat, the slope mask and the probabilities:
 # the kernels now rebuild these in the backward, from the same inputs with
-# the same operations. sigmoid as it was when it split its input by sign
+# the same operations, except that leaky_relu reads its slopes from its
+# output and conv2d's backward is a correlation of g plus span sums, which
+# sum in another order. sigmoid as it was when it split its input by sign
 # through fancy indexing: the kernel now computes both halves in one pass
 def _conv2d_keeping_patches(x, w, b, dilation=1):
     xd, wd = tc._data(x), tc._data(w)
@@ -932,14 +966,24 @@ def _deformable_conv2d_fancy_index(x, w, b, offsets):
 class TestRebuiltInBackward:
     """The kernels that rebuild what their vjps once kept, or gather or
     compute in one pass what they once did piecewise, give the same bits,
-    forward and backward, as their copies above."""
+    forward and backward, as their copies above; where a backward now sums
+    in spans, its gradients agree within 16 ulps of their largest value."""
 
-    def check(self, monkeypatch, kernel, before, arrays, chunk_bytes=1 << 40):
+    def check(self, monkeypatch, kernel, before, arrays, chunk_bytes=1 << 40,
+              grads_within=None):
+        """Outputs byte for byte; gradients too, or, given ``grads_within``,
+        within that many ulps of the gradient's largest magnitude."""
         out = before(*arrays).data
         g = np.random.default_rng(41).normal(size=out.shape).astype(out.dtype)
-        for a, b in zip(TestChunks.run(monkeypatch, chunk_bytes, kernel, arrays, g),
-                        TestChunks.run(monkeypatch, chunk_bytes, before, arrays, g)):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        new = TestChunks.run(monkeypatch, chunk_bytes, kernel, arrays, g)
+        old = TestChunks.run(monkeypatch, chunk_bytes, before, arrays, g)
+        for i, (a, b) in enumerate(zip(new, old)):
+            assert a.dtype == b.dtype
+            if i < 2 or grads_within is None:  # the untaped and taped outputs
+                assert a.tobytes() == b.tobytes()
+            else:
+                tol = grads_within * np.finfo(b.dtype).eps * np.abs(b).max()
+                np.testing.assert_allclose(a, b, rtol=0, atol=tol)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("dilation", [1, 2])
@@ -953,9 +997,11 @@ class TestRebuiltInBackward:
         chunk_bytes = chunk_rows * row_bytes if chunk_rows else 1 << 40
         monkeypatch.setattr(tc, "CHUNK_BYTES", chunk_bytes)
         assert len(tc._chunks(9, row_bytes)[1]) == (5 if chunk_rows else 1)
+        # the backward is a correlation of g and sums over spans: it sums in
+        # another order than the tap loop and the one weight-gradient GEMM
         self.check(monkeypatch, lambda x, w, b: tc.conv2d(x, w, b, dilation),
                    lambda x, w, b: _conv2d_keeping_patches(x, w, b, dilation),
-                   (x, w, b), chunk_bytes)
+                   (x, w, b), chunk_bytes, grads_within=16)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_layer_norm(self, monkeypatch, dtype):
@@ -974,6 +1020,16 @@ class TestRebuiltInBackward:
             with pytest.raises(FloatingPointError,
                                match="non-finite values in leaky_relu output"):
                 tc.leaky_relu(np.array([1.0, bad], dtype))
+
+    @pytest.mark.parametrize("dtype, tiny", [(np.float32, -1e-45),
+                                             (np.float64, -5e-324)])
+    def test_leaky_relu_at_signed_zeros_and_underflow(self, monkeypatch, dtype, tiny):
+        # 0.01 * tiny underflows to -0.0, as 0.01 * -0.0 is: the output's sign
+        # alone would give that negative input a slope of 1
+        x = np.array([0.0, -0.0, tiny, -1.0], dtype)
+        y = tc.leaky_relu(x).data
+        assert x[2] < 0 and y[2] == 0 and np.signbit(y[2])
+        self.check(monkeypatch, tc.leaky_relu, _leaky_relu_keeping_mask, (x,))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_sigmoid(self, monkeypatch, dtype):
@@ -1002,8 +1058,11 @@ class TestRebuiltInBackward:
         chunk_bytes = chunk_pixels * row_bytes if chunk_pixels else 1 << 40
         monkeypatch.setattr(tc, "CHUNK_BYTES", chunk_bytes)
         assert len(tc._chunks(84, row_bytes)[1]) == (9 if chunk_pixels else 1)
+        # in one span the backward sums as it did; over several it adds the
+        # spans' weight gradients and scatters one after another
         self.check(monkeypatch, tc.deformable_conv2d,
-                   _deformable_conv2d_fancy_index, (x, w, b, off), chunk_bytes)
+                   _deformable_conv2d_fancy_index, (x, w, b, off), chunk_bytes,
+                   grads_within=16 if chunk_pixels else None)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("heads", [2, 3])
