@@ -123,7 +123,8 @@ def read_pfm(path) -> HdrImage:
             offset=pos)
     data = np.frombuffer(payload, dtype=dtype).reshape(height, width, 3)
     try:
-        return HdrImage(pixels=np.flipud(data).astype(np.float64))
+        with np.errstate(invalid="ignore"):  # a signalling NaN; HdrImage rejects it
+            return HdrImage(pixels=np.flipud(data).astype(np.float64))
     except ValueError as e:  # NaN or negative radiance
         raise CodecError(str(e), offset=pos) from None
 
@@ -144,12 +145,10 @@ class DatasetError(ValueError):
 
 def _load_sample(sample_dir: Path) -> SampleTriplet:
     paths = [sample_dir / f"ldr_{i}.ppm" for i in range(3)]
-    for p in paths:
+    exp_path = sample_dir / "exposures.txt"
+    for p in (*paths, exp_path):
         if not p.exists():
             raise DatasetError(f"{sample_dir}: missing {p.name}")
-    exp_path = sample_dir / "exposures.txt"
-    if not exp_path.exists():
-        raise DatasetError(f"{sample_dir}: missing exposures.txt")
     lines = exp_path.read_text(errors="replace").split()  # bytes need not be UTF-8
     if len(lines) != 3:
         raise DatasetError(
@@ -166,7 +165,14 @@ def _load_sample(sample_dir: Path) -> SampleTriplet:
     if len(set(times)) != 3:
         raise DatasetError(f"{sample_dir}: duplicate exposure values {lines}")
 
-    ldrs = [read_ppm(p) for p in paths]
+    def decode(read, path):  # a codec error names its file
+        try:
+            return read(path)
+        except CodecError as e:
+            e.args = (f"{path}: {e}",)
+            raise
+
+    ldrs = [decode(read_ppm, p) for p in paths]
     order = np.argsort(times)
     ldr = tuple(
         LdrImage(pixels=ldrs[i].pixels, exposure_time=times[i]) for i in order)
@@ -174,9 +180,8 @@ def _load_sample(sample_dir: Path) -> SampleTriplet:
     gt = None
     gt_path = sample_dir / "gt.pfm"
     if gt_path.exists():
-        raw = read_pfm(gt_path)
-        scale = float(np.percentile(raw.pixels, GT_PERCENTILE))
-        scale = max(scale, 1e-12)
+        raw = decode(read_pfm, gt_path)
+        scale = max(float(np.percentile(raw.pixels, GT_PERCENTILE)), 1e-12)
         gt = HdrImage(pixels=raw.pixels / scale, scale=scale)
     return SampleTriplet(ldr=ldr, ground_truth=gt, name=sample_dir.name)
 

@@ -10,9 +10,9 @@ import numpy as np
 
 from . import tensor as tc
 from .head import head_forward
-from .model import (ModelConfig, bind_params, dt_forward, forward_from_inputs,
-                    init_params, tiny_preset)
-from .training import l1_tonemapped_loss, synth_dataset
+from .model import dt_forward, forward_from_inputs, init_params, tiny_preset
+from .training import (TrainConfig, l1_tonemapped_loss, synth_dataset,
+                       training_step)
 from .hdrmath import build_input
 
 OP_TOLERANCE = 1e-4
@@ -204,8 +204,8 @@ def check_head(seed=0):
 
 
 def check_full_model(seed=0, n_params=200, h=FD_STEP, size=16, cfg=None):
-    """End-to-end loss gradient vs finite differences on the tiny preset
-    (or a caller-supplied f64 config), subsampling random parameter entries."""
+    """``training_step``'s gradient vs finite differences of its loss on the
+    tiny preset (or a caller-supplied f64 config), at random parameter entries."""
     if cfg is None:
         cfg = tiny_preset(dtype="f64")
     if cfg.dtype != "f64":
@@ -216,11 +216,11 @@ def check_full_model(seed=0, n_params=200, h=FD_STEP, size=16, cfg=None):
     inputs = build_input(sample)
     gt = sample.ground_truth.pixels[None, ...]
 
-    def loss_value(p):
-        return l1_tonemapped_loss(forward_from_inputs(inputs, p, cfg), gt)
+    _, analytic = training_step([sample], params, cfg, TrainConfig())
 
-    leaves = bind_params(params, tc.Tape())
-    analytic = dict(zip(leaves, tc.backward(loss_value(leaves), leaves.values())))
+    def loss():  # untaped: finite differences need values, not a graph
+        return float(l1_tonemapped_loss(forward_from_inputs(inputs, params, cfg),
+                                        gt).data)
 
     names = sorted(params)
     entries = []
@@ -228,8 +228,7 @@ def check_full_model(seed=0, n_params=200, h=FD_STEP, size=16, cfg=None):
         name = names[rng.integers(len(names))]
         entries.append((name, int(rng.integers(params[name].size))))
 
-    numeric = [central_difference(lambda: float(loss_value(params).data),
-                                  params[name], flat, h)
+    numeric = [central_difference(loss, params[name], flat, h)
                for name, flat in entries]
     return rel_error(np.asarray([analytic[name].reshape(-1)[flat]
                                  for name, flat in entries]),

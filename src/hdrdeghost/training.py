@@ -48,7 +48,7 @@ def l1_tonemapped_loss(out: tc.Tensor, gt) -> tc.Tensor:
     The gradient reaches ``out`` only where the tonemap does not clamp it
     (0 < out < 1)."""
     od = out.data
-    gt_d = gt.data if isinstance(gt, tc.Tensor) else np.asarray(gt)
+    gt_d = np.asarray(gt)
     if od.shape != gt_d.shape:
         raise tc.ShapeError(
             f"loss operands differ in shape: {od.shape} vs {gt_d.shape}")
@@ -115,7 +115,7 @@ def crop_patches(s: SampleTriplet, patch=128, stride=64):
     """Sliding-window crops, identical coordinates for all images and GT."""
     h, w = s.ldr[0].size
     if h < patch or w < patch:
-        raise ValueError(f"image {h}x{w} smaller than patch {patch}")
+        raise ValueError(f"{s.name}: image {h}x{w} smaller than patch {patch}")
     out = []
     for y in _positions(h, patch, stride):
         for x in _positions(w, patch, stride):
@@ -209,18 +209,19 @@ def synth_dataset(n, seed=0, size=32, motion=True):
 # training loop
 
 def training_step(batch, params, cfg: ModelConfig, tcfg: TrainConfig):
-    """Forward + backward over a batch of same-size triplets.
-
-    Returns (loss value, gradient dict averaged over the batch)."""
-    tape = tc.Tape()
-    leaves = bind_params(params, tape)
-    dt = tc.DTYPES[cfg.dtype]
-    ins = [np.concatenate(ks, axis=0).astype(dt)
-           for ks in zip(*(build_input(s) for s in batch))]
-    gt = np.stack([s.ground_truth.pixels for s in batch], axis=0).astype(dt)
-    out = forward_from_inputs(ins, leaves, cfg)
-    loss = l1_tonemapped_loss(out, gt)
-    return float(loss.data), dict(zip(leaves, tc.backward(loss, leaves.values())))
+    """Forward + backward on one tape per sample, so a step holds one
+    sample's graph; returns (mean loss, gradients averaged over the batch)."""
+    dt, loss_sum, total = tc.DTYPES[cfg.dtype], 0.0, None
+    for s in batch:
+        leaves = bind_params(params, tc.Tape())
+        out = forward_from_inputs([x.astype(dt) for x in build_input(s)], leaves, cfg)
+        loss = l1_tonemapped_loss(out, s.ground_truth.pixels[None].astype(dt))
+        grads = tc.backward(loss, leaves.values())
+        loss_sum += float(loss.data)
+        # the sum starts from the first sample's arrays (0.0 + -0.0 is +0.0)
+        # and adds into new ones: backward may hand one array to two leaves
+        total = grads if total is None else [t + g for t, g in zip(total, grads)]
+    return loss_sum / len(batch), {k: g / len(batch) for k, g in zip(leaves, total)}
 
 
 def _eval_psnr_mu(samples, params, cfg):

@@ -256,7 +256,7 @@ class TestTrain:
         rc = main(["train", "--data", str(tmp_path / "data"),
                    "--config", str(conf), "--out", str(tmp_path / "run")])
         assert rc == EXIT_IO
-        assert "smaller than patch" in capsys.readouterr().err
+        assert "s0: image 16x16 smaller than patch 32" in capsys.readouterr().err
 
     def test_bad_config_exits_2(self, tmp_path):
         conf = tmp_path / "conf.txt"
@@ -354,6 +354,48 @@ class TestEval:
         assert proc.returncode == EXIT_IO
         assert "error: " in proc.stderr and "'2000'" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestDataErrorNamesItsFile:
+    """A sample file that does not decode exits 1, with no warning, and the
+    message names the file."""
+
+    def test_eval_signalling_nan_in_gt(self, tmp_path, checkpoint, monkeypatch):
+        gt = write_sample(tmp_path / "data", "s0") / "gt.pfm"  # 12-byte header
+        blob = gt.read_bytes()
+        gt.write_bytes(blob[:12] + struct.pack("<I", 0x7F800001) + blob[16:])
+        monkeypatch.setenv("PYTHONWARNINGS", "error")
+        proc = _run_cli(["eval", "--data", str(tmp_path / "data"),
+                         "--checkpoint", str(checkpoint)])
+        assert proc.returncode == EXIT_IO
+        assert proc.stderr == (f"error: {gt}: HDR pixels must be finite and "
+                               f"non-negative (byte offset 12)\n")
+
+    def run(self, argv, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(argv)
+        return rc, capsys.readouterr().err
+
+    def test_fuse_truncated_ldr(self, tmp_path, checkpoint, capsys):
+        d = write_sample(tmp_path / "data", "s0", h=16, w=16)
+        ldr = d / "ldr_1.ppm"
+        ldr.write_bytes(ldr.read_bytes()[:-1])
+        rc, err = self.run(["fuse", "--input", str(d), "--checkpoint",
+                            str(checkpoint), "--output", str(tmp_path / "o.pfm")],
+                           capsys)
+        assert rc == EXIT_IO
+        assert err.startswith(f"error: {ldr}: truncated payload: ")
+
+    def test_train_unrecognized_magic(self, tmp_path, capsys):
+        ldr = write_sample(tmp_path / "data", "s0", h=16, w=16) / "ldr_2.ppm"
+        ldr.write_bytes(b"P3" + ldr.read_bytes()[2:])
+        conf = tmp_path / "conf.txt"
+        conf.write_text(TINY_CONF)
+        rc, err = self.run(["train", "--data", str(tmp_path / "data"), "--config",
+                            str(conf), "--out", str(tmp_path / "run")], capsys)
+        assert rc == EXIT_IO
+        assert err.startswith(f"error: {ldr}: unrecognized magic b'P3' ")
 
 
 class TestNonFinite:

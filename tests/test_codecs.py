@@ -1,3 +1,6 @@
+import struct
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -67,6 +70,15 @@ class TestPpm:
 
 
 class TestPfm:
+    def test_signalling_nan_raises_without_a_warning(self, tmp_path):
+        # the cast to f64 quiets a signalling NaN; HdrImage then rejects it
+        path = tmp_path / "snan.pfm"
+        path.write_bytes(b"PF\n1 1\n-1.0\n" + struct.pack("<3I", 0x7F800001, 0, 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CodecError, match=r"finite .*\(byte offset 12\)$"):
+                read_pfm(path)
+
     def test_round_trip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(1)
         pix = rng.uniform(0, 10, size=(6, 4, 3)).astype(np.float32)
@@ -244,6 +256,15 @@ class TestLoadDataset:
         (d / "ldr_1.ppm").unlink()
         with pytest.raises(DatasetError, match="missing"):
             load_dataset(tmp_path)
+
+    def test_codec_error_names_the_file_and_keeps_its_offset(self, tmp_path):
+        d = write_sample(tmp_path, "s0")
+        (d / "ldr_2.ppm").write_bytes(b"P6\n4 4\n255\n" + bytes(10))
+        with pytest.raises(CodecError) as e:
+            load_dataset(tmp_path)
+        assert str(e.value) == (f"{d / 'ldr_2.ppm'}: truncated payload: need 48 "
+                                f"bytes, have 10 (byte offset 21)")
+        assert e.value.offset == 21
 
     def test_samples_ordered_by_id(self, tmp_path):
         write_sample(tmp_path, "s1", seed=1)

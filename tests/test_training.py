@@ -1,6 +1,7 @@
 import gc
 import json
 import re
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -273,6 +274,52 @@ class TestTrainingStep:
         finally:
             gc.enable()
         assert set(grads) == set(params)
+
+    @staticmethod
+    def _offset_params(cfg, seed):
+        # offset predictors drawn off zero: samples fall between pixels
+        params = init_params(cfg, seed=seed)
+        rng = np.random.default_rng(seed)
+        for k, v in params.items():
+            if ".off." in k:
+                params[k] = (v + rng.normal(0, 0.05, size=v.shape)).astype(v.dtype)
+        return params
+
+    def test_batch_step_is_the_mean_of_its_samples_steps(self):
+        cfg = tiny_preset(dtype="f64")
+        params = self._offset_params(cfg, 27)
+        batch = synth_dataset(4, seed=28, size=16)
+        tcfg = TrainConfig(batch_size=4, patch=16, stride=16)
+        loss, grads = training_step(batch, params, cfg, tcfg)
+        singles = [training_step([s], params, cfg, tcfg) for s in batch]
+        assert loss == pytest.approx(np.mean([l for l, _ in singles]), rel=1e-12)
+        for k, g in grads.items():
+            want = sum(gs[k] for _, gs in singles) / 4
+            err = np.abs(g - want).max()
+            if k.endswith(".msa.k.b"):
+                # the softmax cancels a key bias: its gradient is rounding
+                # noise, so only its absolute size is defined
+                assert err <= 1e-18, k
+            else:
+                assert err <= 1e-12 * np.abs(want).max(), k
+
+    def test_batch_step_holds_one_samples_graph(self):
+        # a batch of 4 peaks within a quarter of one sample's step: the
+        # graph of one sample at a time, not of the batch
+        cfg = tiny_preset()
+        params = self._offset_params(cfg, 29)
+        batch = synth_dataset(4, seed=30, size=32)
+        tcfg = TrainConfig(batch_size=4, patch=32, stride=32)
+        peaks = []
+        for b in (1, 4):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                training_step(batch[:b], params, cfg, tcfg)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
 
     def test_deterministic(self):
         cfg = tiny_preset(dtype="f64")
