@@ -181,7 +181,8 @@ def _load_sample(sample_dir: Path) -> SampleTriplet:
     gt_path = sample_dir / "gt.pfm"
     if gt_path.exists():
         raw = decode(read_pfm, gt_path)
-        scale = max(float(np.percentile(raw.pixels, GT_PERCENTILE)), 1e-12)
+        scale = float(np.percentile(raw.pixels, GT_PERCENTILE))
+        scale = max(scale, 1e-12)
         gt = HdrImage(pixels=raw.pixels / scale, scale=scale)
     return SampleTriplet(ldr=ldr, ground_truth=gt, name=sample_dir.name)
 
