@@ -1,12 +1,13 @@
 """Command-line entry point: fuse, train, eval, gradcheck, inspect.
 
 Exit codes: 0 success (also a Ctrl-C'd ``train``); 1 I/O or data error
-(``OSError``, and ``ValueError`` such as ``CodecError``, ``DatasetError`` or
-``ShapeError``); 2 config/checkpoint mismatch (``ConfigError``,
-``CheckpointError``); 3 numerical failure (``FloatingPointError``, a
-failed gradcheck). The commands raise; ``main`` alone maps an error to its
-code through ``EXIT_CODES`` and prints ``error: <message>`` with no
-traceback. Any other exception is a bug and keeps its traceback.
+(``OSError``, ``MemoryError``, and ``ValueError`` such as ``CodecError``,
+``DatasetError`` or ``ShapeError``); 2 config/checkpoint mismatch
+(``ConfigError``, ``CheckpointError``); 3 numerical failure
+(``FloatingPointError``, a failed gradcheck). The commands raise; ``main``
+alone maps an error to its code through ``EXIT_CODES`` and prints
+``error: <message>`` with no traceback. Any other exception is a bug and
+keeps its traceback.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ EXIT_NUMERIC = 3
 EXIT_CODES = (
     ((ConfigError, CheckpointError), EXIT_CONFIG),
     ((FloatingPointError,), EXIT_NUMERIC),
-    ((OSError, ValueError), EXIT_IO),
+    ((OSError, ValueError, MemoryError), EXIT_IO),
 )
 
 # glibc's malloc thresholds, pinned for a CLI process. Left dynamic, the mmap
@@ -101,8 +102,12 @@ def cmd_train(args):
 def cmd_eval(args):
     params, cfg = load_checkpoint(args.checkpoint)
     dataset = codecs.load_dataset(args.data)
-    if not any(s.ground_truth is not None for s in dataset):
+    skipped = [s.name for s in dataset if s.ground_truth is None]
+    dataset = [s for s in dataset if s.ground_truth is not None]
+    if not dataset:
         raise DatasetError("no sample in the dataset has ground truth")
+    if skipped:
+        print("note: no ground truth, skipped:", *skipped, file=sys.stderr)
     rows = metrics.eval_report(
         lambda s: model_forward(s, params, cfg).pixels, dataset)
     print(metrics.format_report(rows, as_json=args.json))

@@ -37,8 +37,8 @@ def sar(f_ref, m_short, m_long, enabled=True):
     """
     if not enabled:
         return f_ref
-    return tc.mul_scalar(
-        tc.add(tc.mul(f_ref, m_short), tc.mul(f_ref, m_long)), 0.5)
+    s = tc.add(tc.mul(f_ref, m_short), tc.mul(f_ref, m_long))
+    return tc.mul(s, s.data.dtype.type(0.5))
 
 
 def head_forward(inputs, p, cfg):

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import json
-import warnings
 
 import numpy as np
 
@@ -81,17 +80,13 @@ METRIC_FIELDS = ("psnr_mu", "psnr_l", "ssim_mu", "ssim_l")
 
 
 def eval_report(model_fn, dataset):
-    """Per-sample and mean metrics for a model over a GT-bearing dataset.
+    """Per-sample and mean metrics over samples that all have ground truth.
 
     ``model_fn`` maps a SampleTriplet to an H x W x 3 output in [0, 1].
-    Samples without ground truth are skipped with a warning. Returns a list
-    of row dicts; the final row has name 'mean'.
+    Returns a list of row dicts; the final row has name 'mean'.
     """
     rows = []
     for s in dataset:
-        if s.ground_truth is None:
-            warnings.warn(f"sample {s.name!r} has no ground truth; skipped")
-            continue
         out = model_fn(s)
         gt = s.ground_truth.pixels
         tm_out, tm_gt = mu_law(out), mu_law(gt)

@@ -7,6 +7,7 @@ M groups plus a dilated-conv tail with two global residuals form the body.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, asdict, fields, replace
@@ -335,41 +336,31 @@ def _parse_checkpoint(blob):
     pos = len(magic) + 4 + mlen
     manifest = json.loads(blob[pos - mlen:pos].decode())
     cfg = ModelConfig(**manifest["config"])
-    dt = tc.DTYPES[cfg.dtype]
+    listed = manifest["tensors"]
+    # every block has tensors, so this bounds param_spec's listing by the file
+    if cfg.groups * cfg.blocks_per_group > len(listed):
+        raise CheckpointError(f"malformed checkpoint: {len(listed)} tensors for "
+                              f"{cfg.groups} x {cfg.blocks_per_group} blocks")
+    # the listing save_checkpoint writes for this config, compared as JSON
+    # text so that 4.0 and true are not 4
+    spec = sorted(param_spec(cfg))
+    want = [json.dumps({"name": n, "shape": list(s), "dtype": cfg.dtype},
+                       sort_keys=True) for n, s, _ in spec] + ["nothing"]
+    got = [json.dumps(e, sort_keys=True) for e in listed] + ["nothing"]
+    for i, (g, w) in enumerate(zip(got, want)):
+        if g != w:
+            raise CheckpointError(f"malformed checkpoint: tensor entry {i} "
+                                  f"mismatch: file has {g}, config needs {w}")
     wire = np.dtype("<f8" if cfg.dtype == "f64" else "<f4")  # as saved
-    params = {}
-    for entry in manifest["tensors"]:
-        if entry["name"] in params:
-            raise CheckpointError(f"tensor {entry['name']} listed twice")
-        shape = tuple(entry["shape"])
-        if any(d < 0 for d in shape):
-            raise CheckpointError(f"malformed checkpoint: tensor {entry['name']} "
-                                  f"has a negative shape {list(shape)}")
-        if entry["dtype"] != cfg.dtype:
-            raise CheckpointError(
-                f"malformed checkpoint: tensor {entry['name']} has payload "
-                f"dtype {entry['dtype']!r}, not the config's {cfg.dtype!r}")
-        n = int(np.prod(shape)) if shape else 1
-        if pos + wire.itemsize * n > len(blob):
-            raise CheckpointError(
-                f"truncated payload for tensor {entry['name']}")
-        params[entry["name"]] = np.frombuffer(
-            blob, wire, n, pos).reshape(shape).astype(dt)
-        pos += wire.itemsize * n
-    if pos != len(blob):
-        raise CheckpointError("trailing bytes after declared payloads")
-    expected = {name: shape for name, shape, _ in param_spec(cfg)}
-    if set(params) != set(expected):
-        missing = sorted(set(expected) - set(params))
-        extra = sorted(set(params) - set(expected))
-        raise CheckpointError(
-            f"checkpoint/config mismatch: missing {missing}, unexpected {extra}")
-    for k, shape in sorted(expected.items()):
-        if params[k].shape != shape:
-            raise CheckpointError(
-                f"checkpoint/config mismatch: {k} has shape "
-                f"{params[k].shape}, config needs {shape}")
-    return params, cfg
+    counts = [math.prod(s) for _, s, _ in spec]
+    size, need = len(blob) - pos, wire.itemsize * sum(counts)
+    if size != need:
+        kind = "truncated" if size < need else "has trailing bytes"
+        raise CheckpointError(f"malformed checkpoint: payload {kind}: "
+                              f"{size} bytes, the tensors take {need}")
+    flat = np.frombuffer(blob, wire, offset=pos).astype(tc.DTYPES[cfg.dtype])
+    parts = np.split(flat, np.cumsum(counts)[:-1])
+    return {n: p.reshape(s) for (n, s, _), p in zip(spec, parts)}, cfg
 
 
 def load_checkpoint(path):

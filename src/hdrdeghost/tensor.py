@@ -210,11 +210,6 @@ def mul(a, b):
     return _make(ad * bd, (a, b), vjp)
 
 
-def mul_scalar(x, c):
-    c = float(c)
-    return _make(_data(x) * c, (x,), lambda g: (g * c,))
-
-
 def sigmoid(x):
     xd = _data(x)
     e = np.exp(-np.abs(xd))  # never overflows: 1 / (1 + e) or e / (1 + e)

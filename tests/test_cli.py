@@ -331,6 +331,15 @@ class TestEval:
             assert vals[0] == row["name"]
             assert float(vals[1]) == pytest.approx(row["psnr_mu"], abs=1e-6)
 
+    def test_sample_without_gt_skipped_with_a_note(self, tmp_path, checkpoint):
+        write_sample(tmp_path / "data", "s0", h=16, w=16)
+        write_sample(tmp_path / "data", "s1", h=16, w=16, with_gt=False)
+        proc = _run_cli(["eval", "--data", str(tmp_path / "data"),
+                         "--checkpoint", str(checkpoint), "--json"])
+        assert proc.returncode == EXIT_OK
+        assert [r["name"] for r in json.loads(proc.stdout)] == ["s0", "mean"]
+        assert proc.stderr == "note: no ground truth, skipped: s1\n"
+
     def test_dataset_without_gt_exits_1(self, tmp_path, checkpoint):
         write_sample(tmp_path / "data", "s0", h=16, w=16, with_gt=False)
         rc = main(["eval", "--data", str(tmp_path / "data"),
@@ -354,6 +363,16 @@ class TestEval:
         assert proc.returncode == EXIT_IO
         assert "error: " in proc.stderr and "'2000'" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def test_memory_error_exits_1_without_traceback(tmp_path, monkeypatch, capsys):
+    def exhausted(cfg, seed=0):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(cli, "init_params", exhausted)
+    rc = main(["train", "--synthetic", "1", "--out", str(tmp_path / "run")])
+    assert rc == EXIT_IO
+    assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB\n"
 
 
 class TestDataErrorNamesItsFile:

@@ -131,12 +131,6 @@ class TestEvalReport:
             want = np.mean([r[f] for r in rows[:-1]])
             assert abs(rows[-1][f] - want) <= 1e-9
 
-    def test_missing_gt_warns_and_skips(self):
-        data = dataset(1) + dataset(1, with_gt=False)
-        with pytest.warns(UserWarning, match="no ground truth"):
-            rows = eval_report(lambda s: s.ground_truth.pixels, data)
-        assert [r["name"] for r in rows] == ["s0", "mean"]
-
     def test_format_tsv_and_json_agree(self):
         rows = eval_report(lambda s: s.ground_truth.pixels, dataset(2))
         tsv = format_report(rows)

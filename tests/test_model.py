@@ -458,7 +458,8 @@ class TestCheckpoint:
         bad = dict(params, **{"embed.b": np.zeros(7)})
         path = tmp_path / "m.hdck"
         save_checkpoint(path, bad, cfg)
-        with pytest.raises(CheckpointError, match=r"embed\.b has shape \(7,\)"):
+        with pytest.raises(CheckpointError,
+                           match=r'"name": "embed\.b", "shape": \[7\]'):
             load_checkpoint(path)
 
     def test_short_header_rejected(self, tmp_path):
@@ -502,13 +503,14 @@ def _saved_with_manifest(path, edit):
     return path
 
 
-# manifests that parse as JSON but not as a checkpoint; unwrapped, they raise
-# TypeError, TypeError, KeyError, TypeError, KeyError and OverflowError in
-# load_checkpoint. The second is a checkpoint written while the MLP ratio,
-# tail dilation and LeakyReLU slope were still config fields. The last two
-# give a tensor a payload dtype other than the config's, or none. A negative
-# shape entry would make np.frombuffer read every byte left ([-1]) or a
-# count that reshape rejects ([-2, -3]).
+# manifests that parse as JSON but not as a checkpoint; unwrapped, the first
+# four raise TypeError, TypeError, KeyError and TypeError in load_checkpoint.
+# The second is a checkpoint written while the MLP ratio, tail dilation and
+# LeakyReLU slope were still config fields. The tensor entries must be the
+# config's listing: a payload dtype other than the config's, or none, a
+# negative shape, or two entries in another order (whose payloads would load
+# into each other) is rejected. A block count above the number of tensors is
+# rejected before param_spec would list a billion blocks.
 MALFORMED_MANIFESTS = {
     "extra_config_key": lambda m: m["config"].update(bogus=1),
     "removed_config_fields": lambda m: m["config"].update(
@@ -525,6 +527,9 @@ MALFORMED_MANIFESTS = {
     "payload_dtype_missing": lambda m: m["tensors"][0].pop("dtype"),
     "negative_shape": lambda m: m["tensors"][0].update(shape=[-1]),
     "two_negative_dims": lambda m: m["tensors"][0].update(shape=[-2, -3]),
+    "tensors_reordered": lambda m: m["tensors"].insert(0, m["tensors"].pop(1)),
+    "groups_1e9": lambda m: m["config"].update(groups=10**9),
+    "blocks_per_group_1e9": lambda m: m["config"].update(blocks_per_group=10**9),
 }
 
 
@@ -540,7 +545,22 @@ class TestMalformedCheckpoint:
         path = _saved_with_manifest(
             tmp_path / "m.hdck",
             lambda m: m["tensors"][0].update(shape=[10**6, 10**6]))
-        with pytest.raises(CheckpointError, match="truncated"):
+        with pytest.raises(CheckpointError,
+                           match=r'"name": "embed\.b", "shape": \[1000000, '):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", ["groups_1e9", "blocks_per_group_1e9"])
+    def test_block_count_rejected_before_listing(self, edit, tmp_path,
+                                                 monkeypatch):
+        # listed, a billion blocks would exhaust memory
+        path = _saved_with_manifest(tmp_path / "m.hdck",
+                                    MALFORMED_MANIFESTS[edit])
+
+        def no_listing(cfg):
+            raise AssertionError("param_spec called")
+
+        monkeypatch.setattr(model, "param_spec", no_listing)
+        with pytest.raises(CheckpointError, match=r"\d+ tensors for "):
             load_checkpoint(path)
 
     def test_name_listed_twice_rejected(self, tmp_path):
@@ -552,7 +572,8 @@ class TestMalformedCheckpoint:
         path = _saved_with_manifest(tmp_path / "m.hdck", twice)
         dim = tiny_preset().embed_dim
         path.write_bytes(path.read_bytes() + np.full(dim, 7, "<f4").tobytes())
-        with pytest.raises(CheckpointError, match=r"embed\.b listed twice"):
+        with pytest.raises(CheckpointError,
+                           match=r'file has \{[^}]*"name": "embed\.b"'):
             load_checkpoint(path)
 
     def test_negative_shape_names_the_tensor(self, tmp_path):
@@ -560,7 +581,7 @@ class TestMalformedCheckpoint:
             tmp_path / "m.hdck", lambda m: m["tensors"][0].update(shape=[-1]))
         name = json.loads(_manifest_bytes(path.read_bytes()))["tensors"][0]["name"]
         with pytest.raises(CheckpointError,
-                           match=rf"tensor {name} has a negative shape \[-1\]"):
+                           match=rf'"name": "{name}", "shape": \[-1\]'):
             load_checkpoint(path)
 
     def test_deeply_nested_manifest_rejected(self, tmp_path):

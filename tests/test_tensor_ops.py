@@ -246,7 +246,7 @@ class TestLayerNorm:
 
 
 def _attention_chain(q, k, v, heads):
-    """The matmul / mul_scalar / softmax / matmul chain, with its head split
+    """The matmul / scale / softmax / matmul chain, with its head split
     and merge, that window_attention replaced: the output and a vjp
     returning (gq, gk, gv), each step as its kernel computed it."""
     bw, t, d = q.shape
@@ -647,7 +647,6 @@ def _onehot_values(q):
 KERNEL_CASES = {
     "add": (tc.add, [(2, 3), (3,)]),
     "mul": (tc.mul, [(2, 3), (2, 3)]),
-    "mul_scalar": (lambda x: tc.mul_scalar(x, 0.3), [(2, 3)]),
     "sigmoid": (tc.sigmoid, [(2, 3)]),
     "leaky_relu": (tc.leaky_relu, [(2, 3)]),
     "sum_": (tc.sum_, [(2, 3)]),
