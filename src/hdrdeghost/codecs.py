@@ -183,7 +183,7 @@ def _load_sample(sample_dir: Path) -> SampleTriplet:
         raw = decode(read_pfm, gt_path)
         scale = float(np.percentile(raw.pixels, GT_PERCENTILE))
         scale = max(scale, 1e-12)
-        gt = HdrImage(pixels=raw.pixels / scale, scale=scale)
+        gt = HdrImage(pixels=raw.pixels / scale)
     return SampleTriplet(ldr=ldr, ground_truth=gt, name=sample_dir.name)
 
 

@@ -28,20 +28,20 @@ def rel_error(analytic, numeric):
     return float(np.abs(analytic - numeric).max() / denom)
 
 
-def central_difference(f, x, i, h=FD_STEP):
+def central_difference(f, x, i):
     """Central difference of the scalar ``f()`` in flat entry ``i`` of the
     float64 array ``x``, which ``f`` reads: the entry is perturbed in place
     and restored."""
     orig = x.flat[i]  # x.flat writes through even where reshape would copy
-    x.flat[i] = orig + h
+    x.flat[i] = orig + FD_STEP
     fp = f()
-    x.flat[i] = orig - h
+    x.flat[i] = orig - FD_STEP
     fm = f()
     x.flat[i] = orig
-    return (fp - fm) / (2.0 * h)
+    return (fp - fm) / (2.0 * FD_STEP)
 
 
-def check_function(build, arrays, h=FD_STEP):
+def check_function(build, arrays):
     """Max FD relative error of a scalar tensor function over its inputs.
 
     ``build`` maps len(arrays) tensors to a scalar Tensor. One taped pass
@@ -57,7 +57,7 @@ def check_function(build, arrays, h=FD_STEP):
 
     worst = 0.0
     for a, g in zip(arrays, grads):
-        numeric = np.array([central_difference(f, a, i, h)
+        numeric = np.array([central_difference(f, a, i)
                             for i in range(a.size)]).reshape(a.shape)
         worst = max(worst, rel_error(g, numeric))
     return worst
@@ -163,10 +163,10 @@ def _frac_offsets(params, rng):
     return params
 
 
-def _random_like(params, rng, scale=0.4):
+def _random_like(params, rng):
     # O(1)-scale draws keep activations clear of the leaky_relu corner,
     # which central differences cannot straddle
-    out = {k: rng.normal(0.0, scale, size=v.shape) for k, v in params.items()}
+    out = {k: rng.normal(0.0, 0.4, size=v.shape) for k, v in params.items()}
     return _frac_offsets(out, rng)
 
 
@@ -203,7 +203,7 @@ def check_head(seed=0):
                          lambda p: head_forward(ins, p, cfg), wsum)
 
 
-def check_full_model(seed=0, n_params=200, h=FD_STEP, size=16, cfg=None):
+def check_full_model(seed=0, n_params=200, size=16, cfg=None):
     """``training_step``'s gradient vs finite differences of its loss on the
     tiny preset (or a caller-supplied f64 config), at random parameter entries."""
     if cfg is None:
@@ -228,7 +228,7 @@ def check_full_model(seed=0, n_params=200, h=FD_STEP, size=16, cfg=None):
         name = names[rng.integers(len(names))]
         entries.append((name, int(rng.integers(params[name].size))))
 
-    numeric = [central_difference(loss, params[name], flat, h)
+    numeric = [central_difference(loss, params[name], flat)
                for name, flat in entries]
     return rel_error(np.asarray([analytic[name].reshape(-1)[flat]
                                  for name, flat in entries]),

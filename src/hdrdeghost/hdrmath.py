@@ -29,13 +29,8 @@ class LdrImage:
 
 @dataclass(frozen=True)
 class HdrImage:
-    """H x W x 3 non-negative linear radiance.
-
-    ``scale`` records the normalization divisor applied at load time so the
-    original radiance can be recovered as pixels * scale.
-    """
+    """H x W x 3 non-negative linear radiance."""
     pixels: np.ndarray
-    scale: float = 1.0
 
     def __post_init__(self):
         if self.pixels.ndim != 3 or self.pixels.shape[2] != 3:
@@ -69,10 +64,6 @@ class SampleTriplet:
             sizes.add(self.ground_truth.size)
         if len(sizes) != 1:
             raise ValueError(f"all images in a triplet must share H x W, got {sizes}")
-
-    @property
-    def reference(self):
-        return self.ldr[1]
 
 
 def gamma_correct(img: LdrImage) -> np.ndarray:

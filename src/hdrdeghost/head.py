@@ -30,25 +30,25 @@ def spatial_attention(f_i, f_ref, p, which):
                                 p[f"head.att{which}.conv2.b"]))
 
 
-def sar(f_ref, m_short, m_long, enabled=True):
-    """Average of the reference feature gated by both non-reference maps.
-
-    With ``enabled=False`` the reference feature passes through unchanged.
-    """
-    if not enabled:
-        return f_ref
+def sar(f_ref, m_short, m_long):
+    """Average of the reference feature gated by both non-reference maps."""
     s = tc.add(tc.mul(f_ref, m_short), tc.mul(f_ref, m_long))
     return tc.mul(s, s.data.dtype.type(0.5))
 
 
 def head_forward(inputs, p, cfg):
     """Full head: three 6-channel streams -> B x H x W x 4C initial feature."""
+    # f1's shallow convs go on the tape before f2's, so the shared weights'
+    # gradients sum in reverse stream order; another order rounds differently
     f1 = extract_shallow(inputs[0], p)
     f2 = extract_shallow(inputs[1], p)
-    f3 = extract_shallow(inputs[2], p)
     m1 = spatial_attention(f1, f2, p, 1)
-    m3 = spatial_attention(f3, f2, p, 3)
     fm1 = tc.mul(f1, m1)
+    del f1
+    f3 = extract_shallow(inputs[2], p)
+    m3 = spatial_attention(f3, f2, p, 3)
     fm3 = tc.mul(f3, m3)
-    fm2 = sar(f2, m1, m3, enabled=cfg.sar)
+    del f3
+    fm2 = sar(f2, m1, m3) if cfg.sar else f2
+    del m1, m3
     return tc.concat([fm1, fm2, fm3, f2], axis=3)

@@ -16,14 +16,14 @@ SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 
 
-def psnr(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
-    """10*log10(peak^2 / MSE); identical images report the 100 dB cap."""
+def psnr(a: np.ndarray, b: np.ndarray) -> float:
+    """10*log10(1 / MSE), peak 1; identical images report the 100 dB cap."""
     if a.shape != b.shape:
         raise ValueError(f"psnr operands differ in shape: {a.shape} vs {b.shape}")
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return PSNR_CAP_DB
-    return min(PSNR_CAP_DB, 10.0 * np.log10(peak * peak / mse))
+    return min(PSNR_CAP_DB, 10.0 * np.log10(1.0 / mse))
 
 
 def _gaussian_kernel(size, sigma):

@@ -123,8 +123,7 @@ def crop_patches(s: SampleTriplet, patch=128, stride=64):
                                  im.exposure_time) for im in s.ldr)
             gt = None
             if s.ground_truth is not None:
-                gt = HdrImage(s.ground_truth.pixels[y:y + patch, x:x + patch],
-                              s.ground_truth.scale)
+                gt = HdrImage(s.ground_truth.pixels[y:y + patch, x:x + patch])
             out.append(SampleTriplet(ldr=ldr, ground_truth=gt,
                                      name=f"{s.name}@{y},{x}"))
     return out
@@ -149,20 +148,19 @@ def augment(s: SampleTriplet, code: int) -> SampleTriplet:
                 for im in s.ldr)
     gt = None
     if s.ground_truth is not None:
-        gt = HdrImage(_dihedral(s.ground_truth.pixels, code),
-                      s.ground_truth.scale)
+        gt = HdrImage(_dihedral(s.ground_truth.pixels, code))
     return SampleTriplet(ldr=ldr, ground_truth=gt, name=f"{s.name}~{code}")
 
 
 # ---------------------------------------------------------------------------
 # synthetic data
 
-def synth_dataset(n, seed=0, size=32, motion=True):
+def synth_dataset(n, seed=0, size=32):
     """Procedural radiance fields exposed at t = (0.25, 1, 4).
 
-    Each scene is a smooth gradient plus random soft blobs; with ``motion``
-    one blob is rigidly shifted in the non-reference frames. The LDRs invert
-    the HDR-space mapping exactly wherever they are unclamped.
+    Each scene is a smooth gradient plus random soft blobs; one blob is
+    rigidly shifted in the non-reference frames. The LDRs invert the
+    HDR-space mapping exactly wherever they are unclamped.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -188,14 +186,12 @@ def synth_dataset(n, seed=0, size=32, motion=True):
         radiance = np.clip(radiance, 0.0, None)
         radiance /= max(radiance.max(), 1e-9)
 
-        moved = radiance  # the non-reference frames' radiance
-        if motion:
-            shift = rng.uniform(-0.06, 0.06, size=2)
-            cy, cx, r, amp, col = blobs[0]
-            moved = np.clip(radiance + (blob(cy + shift[0], cx + shift[1], r, amp)
-                                        - blob(cy, cx, r, amp))[:, :, None] * col,
-                            0.0, None)
-            moved = moved / max(moved.max(), 1e-9)
+        shift = rng.uniform(-0.06, 0.06, size=2)
+        cy, cx, r, amp, col = blobs[0]
+        moved = np.clip(radiance + (blob(cy + shift[0], cx + shift[1], r, amp)
+                                    - blob(cy, cx, r, amp))[:, :, None] * col,
+                        0.0, None)  # the non-reference frames' radiance
+        moved = moved / max(moved.max(), 1e-9)
         ldr = tuple(LdrImage(np.clip((t * (radiance if j == 1 else moved))
                                      ** (1.0 / GAMMA), 0.0, 1.0), t)
                     for j, t in enumerate(times))
@@ -236,7 +232,8 @@ def train_loop(dataset, params, cfg: ModelConfig, tcfg: TrainConfig,
                out_dir, log_fn=None):
     """Seeded mini-batch training; logs line-delimited JSON records, one per
     epoch to metrics.jsonl and one per step to steps.jsonl, and writes
-    checkpoints under out_dir. Returns the final parameters.
+    checkpoints under out_dir. Returns the final parameters. An epoch's PSNR
+    scores the last max(1, N // 10) samples by name, which it also trains on.
 
     A dataset with no ground truth raises DatasetError. On KeyboardInterrupt
     or FloatingPointError the parameters after the last completed step are

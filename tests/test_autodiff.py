@@ -90,14 +90,6 @@ def test_op_gradients_match_finite_differences(op):
     assert gradcheck.check_op(op, seeds=3) <= gradcheck.OP_TOLERANCE
 
 
-def test_dt_block_gradient():
-    assert gradcheck.check_dt_block() <= gradcheck.OP_TOLERANCE
-
-
-def test_head_gradient():
-    assert gradcheck.check_head() <= gradcheck.OP_TOLERANCE
-
-
 def test_backward_consumes_the_tape():
     tape = tc.Tape()
     x = tc.Tensor(np.arange(4.0), tape)

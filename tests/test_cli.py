@@ -640,3 +640,26 @@ class TestThreadEnvDeterminism:
                          "--output", str(out)]) == EXIT_OK
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_full_preset_fuse_agrees_across_blas_threads_to_rounding(
+            self, tmp_path, monkeypatch):
+        # conv2d's GEMMs (K = 9 * Cin, up to 2160) may sum in another order
+        # at 1 and 2 BLAS threads, so the fused pixels may differ by rounding
+        cfg = full_preset()
+        params = init_params(cfg, seed=1)
+        rng = np.random.default_rng(2)
+        for k in params:
+            if ".off." in k:  # offsets off zero, so every sample interpolates
+                params[k] = rng.normal(0, 0.05, params[k].shape).astype(np.float32)
+        save_checkpoint(tmp_path / "full.hdck", params, cfg)
+        d = write_sample(tmp_path, "s0", h=32, w=32, seed=3)
+        outs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+            out = tmp_path / f"out{threads}.pfm"
+            proc = _run_cli(["fuse", "--input", str(d), "--checkpoint",
+                             str(tmp_path / "full.hdck"), "--output", str(out)])
+            assert proc.returncode == EXIT_OK, proc.stderr
+            outs.append(read_pfm(out).pixels)
+        # perfbench's FUSE_ATOL; 4.1e-5 measured with OpenBLAS 0.3.31
+        np.testing.assert_allclose(outs[0], outs[1], rtol=0, atol=3e-4)

@@ -233,12 +233,11 @@ class TestLoadDataset:
         (sample,) = load_dataset(tmp_path)
         assert sample.ground_truth is None
 
-    def test_gt_normalized_with_recorded_scale(self, tmp_path):
+    def test_gt_normalized_to_unit_percentile(self, tmp_path):
         write_sample(tmp_path, "s0")
         (sample,) = load_dataset(tmp_path)
-        gt = sample.ground_truth
-        assert gt.scale > 0
-        assert np.percentile(gt.pixels, 99.9) == pytest.approx(1.0, abs=1e-5)
+        assert np.percentile(sample.ground_truth.pixels, 99.9) == pytest.approx(
+            1.0, abs=1e-5)
 
     def test_duplicate_exposures_rejected(self, tmp_path):
         write_sample(tmp_path, "s0", stops=(0, 0, 2))

@@ -108,10 +108,6 @@ class TestTripletInvariants:
                                ldr(np.zeros((3, 3, 3)), 1.0),
                                ldr(np.zeros((2, 2, 3)), 2.0)))
 
-    def test_reference_is_medium(self):
-        s = make_triplet()
-        assert s.reference is s.ldr[1]
-
     def test_hdr_rejects_negative(self):
         with pytest.raises(ValueError):
             HdrImage(pixels=np.full((2, 2, 3), -0.1))

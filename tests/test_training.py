@@ -193,20 +193,21 @@ class TestSynthData:
             gt = s.ground_truth.pixels
             assert gt.min() >= 0.0 and gt.max() <= 1.0
 
-    def test_static_scene_ldrs_invert_to_same_radiance(self):
-        # without motion every frame images the same radiance, so wherever no
-        # clamping occurred, (LDR^gamma) / t must agree across exposures
-        (s,) = synth_dataset(1, seed=11, size=16, motion=False)
-        recs = []
-        masks = []
-        for im in s.ldr:
-            rec = im.pixels ** 2.2 / im.exposure_time
-            masks.append((im.pixels > 1e-3) & (im.pixels < 1.0 - 1e-9))
-            recs.append(rec)
-        ok = masks[0] & masks[1] & masks[2]
+    def test_ldrs_invert_to_their_frames_radiance(self):
+        # the reference frame images the ground truth and the other two the
+        # moved scene, so wherever no clamping occurred, (LDR^gamma) / t
+        # recovers the ground truth from frame 1 and agrees between 0 and 2
+        (s,) = synth_dataset(1, seed=11, size=16)
+        recs = [im.pixels ** 2.2 / im.exposure_time for im in s.ldr]
+        masks = [(im.pixels > 1e-3) & (im.pixels < 1.0 - 1e-9) for im in s.ldr]
+        assert masks[1].any()
+        gt = s.ground_truth.pixels
+        assert np.abs(recs[1][masks[1]] - gt[masks[1]]).max() <= 1e-9
+        ok = masks[0] & masks[2]
         assert ok.any()
-        assert np.abs(recs[0][ok] - recs[1][ok]).max() <= 1e-9
-        assert np.abs(recs[2][ok] - recs[1][ok]).max() <= 1e-9
+        assert np.abs(recs[0][ok] - recs[2][ok]).max() <= 1e-9
+        # the moved blob: frames 0 and 2 do not image the ground truth
+        assert np.abs(recs[0][ok] - gt[ok]).max() > 1e-3
 
     def test_exposure_times(self):
         (s,) = synth_dataset(1, seed=12, size=16)
